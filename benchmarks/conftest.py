@@ -17,6 +17,7 @@ import json
 import os
 import time
 from pathlib import Path
+from typing import Any
 
 import pytest
 
@@ -27,26 +28,28 @@ BENCH_TUPLES = int(os.environ.get("REPRO_BENCH_TUPLES", "200000"))
 
 #: The regenerated figure/table rows are also appended here, because pytest
 #: captures stdout of passing tests; this file is the human-readable report.
-REPORT_PATH = Path(__file__).resolve().parent.parent / "bench_report.txt"
+ROOT = Path(__file__).resolve().parent.parent
+REPORT_PATH = ROOT / "bench_report.txt"
 
-#: Machine-readable companion of the report: every speedup gate records its
-#: measured numbers here (one object per gate), and CI uploads the file as a
-#: build artifact so the perf trajectory across PRs can be charted without
-#: parsing logs.  The "5" is the PR number that introduced the format.
-BENCH_JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_5.json"
-
-#: The serving-tier gates (pre-fork pool + persistent cache store, PR 7)
-#: record their measured speedups and hit rates separately, so the serving
-#: artifact can gate CI without re-running the figure benchmarks.
-BENCH7_JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_7.json"
-
-#: The parallel-join gates (process-pool pair execution, PR 8) record their
-#: measured serial-vs-parallel speedups and robustness counters here.
-BENCH8_JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_8.json"
-
-#: The chaos gates (fault injection + failure recovery, PR 10) record their
-#: respawn latencies, retry counts and failover success rates here.
-BENCH10_JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_10.json"
+#: Machine-readable companions of the report, keyed by file name under
+#: ``ROOT``, each with the header fields it starts from.  Every speedup
+#: gate records its measured numbers in one of them (one object per gate),
+#: and CI uploads the files as build artifacts so the perf trajectory across
+#: changes can be charted without parsing logs:
+#:
+#: * ``BENCH_5.json`` — the figure, kernel and cost-model gates;
+#: * ``BENCH_7.json`` — the serving tier (pre-fork pool + persistent cache
+#:   store), so its artifact can gate CI without the figure benchmarks;
+#: * ``BENCH_8.json`` — the parallel join (serial-vs-parallel speedups and
+#:   robustness counters);
+#: * ``BENCH_10.json`` — the chaos gates (respawn latencies, retry counts,
+#:   failover success rates).
+BENCH_ARTIFACTS: dict[str, dict[str, Any]] = {
+    "BENCH_5.json": {"bench_tuples": BENCH_TUPLES},
+    "BENCH_7.json": {"cpu_count": os.cpu_count()},
+    "BENCH_8.json": {"cpu_count": os.cpu_count()},
+    "BENCH_10.json": {"cpu_count": os.cpu_count()},
+}
 
 
 @pytest.fixture(scope="session")
@@ -59,85 +62,31 @@ def _fresh_report() -> None:
     REPORT_PATH.write_text(
         f"Regenerated tables and figures (relation size {BENCH_TUPLES} tuples)\n\n"
     )
-    BENCH_JSON_PATH.write_text(
-        json.dumps({"bench_tuples": BENCH_TUPLES, "gates": {}}, indent=2) + "\n"
-    )
-    BENCH7_JSON_PATH.write_text(
-        json.dumps({"cpu_count": os.cpu_count(), "gates": {}}, indent=2) + "\n"
-    )
-    BENCH8_JSON_PATH.write_text(
-        json.dumps({"cpu_count": os.cpu_count(), "gates": {}}, indent=2) + "\n"
-    )
-    BENCH10_JSON_PATH.write_text(
-        json.dumps({"cpu_count": os.cpu_count(), "gates": {}}, indent=2) + "\n"
-    )
+    for artifact, header in BENCH_ARTIFACTS.items():
+        (ROOT / artifact).write_text(
+            json.dumps({**header, "gates": {}}, indent=2) + "\n"
+        )
 
 
 @pytest.fixture(scope="session")
 def bench_json():
-    """Record one gate's measured numbers in the machine-readable artifact.
+    """Record one gate's measured numbers in a machine-readable artifact.
 
-    ``bench_json("merge-kernel", speedup=5.7, threshold=5.0, ...)`` merges
-    the fields under ``gates[name]`` in ``BENCH_5.json``; values must be
-    JSON-serialisable (numbers, strings, booleans, lists).
+    ``bench_json("BENCH_5.json", "merge-kernel", speedup=5.7, ...)`` merges
+    the fields under ``gates[name]`` in that artifact (one of
+    :data:`BENCH_ARTIFACTS`), recreating it when a run of only some gates
+    finds it missing; values must be JSON-serialisable (numbers, strings,
+    booleans, lists).
     """
 
-    def record(name: str, **fields) -> None:
+    def record(artifact: str, name: str, **fields) -> None:
+        path = ROOT / artifact
         try:
-            data = json.loads(BENCH_JSON_PATH.read_text())
+            data = json.loads(path.read_text())
         except (OSError, ValueError):
-            data = {"bench_tuples": BENCH_TUPLES, "gates": {}}
+            data = {**BENCH_ARTIFACTS[artifact], "gates": {}}
         data.setdefault("gates", {}).setdefault(name, {}).update(fields)
-        BENCH_JSON_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-    return record
-
-
-@pytest.fixture(scope="session")
-def bench_json7():
-    """Like ``bench_json`` but for the serving-tier artifact ``BENCH_7.json``.
-
-    The file is (re)created on first use, so a run of only the pool gates
-    still produces a complete artifact for CI to upload.
-    """
-
-    def record(name: str, **fields) -> None:
-        try:
-            data = json.loads(BENCH7_JSON_PATH.read_text())
-        except (OSError, ValueError):
-            data = {"cpu_count": os.cpu_count(), "gates": {}}
-        data.setdefault("gates", {}).setdefault(name, {}).update(fields)
-        BENCH7_JSON_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-    return record
-
-
-@pytest.fixture(scope="session")
-def bench_json8():
-    """Like ``bench_json`` but for the parallel-join artifact ``BENCH_8.json``."""
-
-    def record(name: str, **fields) -> None:
-        try:
-            data = json.loads(BENCH8_JSON_PATH.read_text())
-        except (OSError, ValueError):
-            data = {"cpu_count": os.cpu_count(), "gates": {}}
-        data.setdefault("gates", {}).setdefault(name, {}).update(fields)
-        BENCH8_JSON_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-    return record
-
-
-@pytest.fixture(scope="session")
-def bench_json10():
-    """Like ``bench_json`` but for the chaos artifact ``BENCH_10.json``."""
-
-    def record(name: str, **fields) -> None:
-        try:
-            data = json.loads(BENCH10_JSON_PATH.read_text())
-        except (OSError, ValueError):
-            data = {"cpu_count": os.cpu_count(), "gates": {}}
-        data.setdefault("gates", {}).setdefault(name, {}).update(fields)
-        BENCH10_JSON_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
     return record
 

@@ -150,7 +150,7 @@ def _run_schedule(sock_path: str, requests: list[PlanRequest], seed: int):
     return results, retries, final["stats"]
 
 
-def test_bench_chaos_failover_success_rate(bench_summary, bench_json10):
+def test_bench_chaos_failover_success_rate(bench_summary, bench_json):
     """Acceptance: across seeded fault schedules, every request is answered
     exactly once and bit-identically — failover success rate 1.0."""
     total = 0
@@ -187,7 +187,8 @@ def test_bench_chaos_failover_success_rate(bench_summary, bench_json10):
         f"failover success rate {success_rate:.3f}, "
         f"{retries_total} retries, {respawns_total} respawns"
     )
-    bench_json10(
+    bench_json(
+        "BENCH_10.json",
         "seeded-schedules",
         seeds=list(CHAOS_SEEDS),
         requests_per_schedule=N_REQUESTS,
@@ -198,7 +199,7 @@ def test_bench_chaos_failover_success_rate(bench_summary, bench_json10):
     assert success_rate == 1.0
 
 
-def test_bench_chaos_forked_failover_latency(bench_summary, bench_json10):
+def test_bench_chaos_forked_failover_latency(bench_summary, bench_json):
     """Acceptance: SIGKILLing a forked worker mid-request costs a bounded
     recovery overhead and loses nothing."""
     requests = _requests(8, seed=999)
@@ -271,7 +272,8 @@ def test_bench_chaos_forked_failover_latency(bench_summary, bench_json10):
         f"chaos: SIGKILLed forked worker — recovery overhead {extra_s:.3f}s "
         f"({retries} retries; clean {clean_s:.3f}s, faulted {fault_s:.3f}s)"
     )
-    bench_json10(
+    bench_json(
+        "BENCH_10.json",
         "forked-failover",
         clean_s=clean_s,
         faulted_s=fault_s,

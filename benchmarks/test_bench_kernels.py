@@ -11,17 +11,9 @@ parity on the benchmark shapes:
 * **Fused radix partitioning** — ``execute_partition_phase`` with one hash
   evaluation per relation versus the per-pass loop (``fused=False``):
   gate >= 5x.
-* **Columnar step-series concat** — single-column ``concatenate(out=)``
-  fills on a grow-only workspace versus materialise-and-concatenate, across
-  a 64-partition PHJ.  Steady-state wall clock is copy-bound on both sides,
-  so the gate pins *no regression* plus the allocation contract: repeated
-  runs reuse the workspace's buffers without a single reallocation.
 * **Executor replay** — repeated ratio splits over one executed series
   (the Monte Carlo measurement loop) with the memoised workload proxy
   versus cold per-call recomputation: gate >= 1.3x.
-* **Adaptive PL descent speculation** — evaluated rows under
-  ``speculation="adaptive"`` versus ``"full"`` with identical plans:
-  gate >= 10% fewer rows.
 
 Every gate records its measured numbers in ``BENCH_5.json`` (uploaded as a
 CI artifact) besides the human-readable summary line.
@@ -32,21 +24,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.executor import CoProcessingExecutor
-from repro.costmodel import StepCost, optimize_pl
 from repro.data.workload import JoinWorkload
 from repro.hardware.machine import coupled_machine
 from repro.hashjoin import (
-    ConcatWorkspace,
     HashJoinConfig,
     HashTable,
     PartitionConfig,
     PartitionedHashJoin,
     bucket_of,
-    concat_step_series,
     default_bucket_count,
-    execute_build,
     execute_partition_phase,
-    execute_probe,
     final_partition_ids,
 )
 
@@ -109,6 +96,7 @@ def test_bench_merge_kernel(bench_summary, bench_json):
         f"{bulk_s * 1e3:.1f} ms vs {reference_s * 1e3:.1f} ms reference ({speedup:.1f}x)"
     )
     bench_json(
+        "BENCH_5.json",
         "merge-kernel",
         tuples=MERGE_TUPLES,
         distinct_keys=MERGE_DISTINCT_KEYS,
@@ -146,6 +134,7 @@ def test_bench_partition_kernel(bench_summary, bench_json, best_seconds):
         f"{reference_s * 1e3:.1f} ms reference ({speedup:.1f}x)"
     )
     bench_json(
+        "BENCH_5.json",
         "partition-kernel",
         tuples=2 * PARTITION_TUPLES,
         bits_per_pass=PARTITION_CONFIG.bits_per_pass,
@@ -156,86 +145,6 @@ def test_bench_partition_kernel(bench_summary, bench_json, best_seconds):
         threshold=5.0,
     )
     assert speedup >= 5.0
-
-
-def _per_pair_series(bench_tuples: int):
-    """Executed per-pair build/probe series of a 64-partition PHJ."""
-    workload = JoinWorkload.skewed("high-skew", bench_tuples, bench_tuples, seed=42)
-    config = HashJoinConfig()
-    partition_config = PartitionConfig(bits_per_pass=6, n_passes=1)
-    allocator = config.make_allocator(1 << 30)
-    phase = execute_partition_phase(
-        workload.build, workload.probe, partition_config, config, allocator
-    )
-    build_series, probe_series = [], []
-    for build_part, probe_part in zip(
-        phase.build_partitions.partitions(), phase.probe_partitions.partitions()
-    ):
-        if len(build_part) == 0 and len(probe_part) == 0:
-            continue
-        table = HashTable(
-            n_buckets=config.bucket_count_for(max(len(build_part), 1)),
-            allocator=allocator,
-        )
-        build_series.append(execute_build(build_part, table, config).series)
-        probe_series.append(execute_probe(probe_part, table, config).series)
-    return build_series, probe_series
-
-
-def test_bench_concat_columnar(bench_summary, bench_json, bench_tuples):
-    """Columnar series concat (grow-only workspace) vs re-concatenation."""
-    import time
-
-    build_series, probe_series = _per_pair_series(bench_tuples)
-    workspace = ConcatWorkspace()
-
-    def columnar():
-        concat_step_series(build_series, "build", None, columnar=True, workspace=workspace)
-        concat_step_series(probe_series, "probe", None, columnar=True, workspace=workspace)
-
-    def reference():
-        concat_step_series(build_series, "build", None, columnar=False)
-        concat_step_series(probe_series, "probe", None, columnar=False)
-
-    # Interleave the sides so heap warm-up from earlier gates cannot favour
-    # whichever variant happens to run second.
-    columnar_s = reference_s = float("inf")
-    for _ in range(7):
-        for fn in (columnar, reference):
-            start = time.perf_counter()
-            fn()
-            elapsed = time.perf_counter() - start
-            if fn is columnar:
-                columnar_s = min(columnar_s, elapsed)
-            else:
-                reference_s = min(reference_s, elapsed)
-    speedup = reference_s / columnar_s
-
-    # The allocation contract: once warm, further runs must not grow or
-    # replace a single workspace buffer.
-    buffers_before = {
-        key: id(buf) for key, buf in workspace._buffers.items()
-    }
-    columnar()
-    buffers_after = {key: id(buf) for key, buf in workspace._buffers.items()}
-    assert buffers_after == buffers_before
-
-    bench_summary(
-        f"columnar concat: {len(build_series)} pairs x 8 steps in "
-        f"{columnar_s * 1e3:.1f} ms vs {reference_s * 1e3:.1f} ms reference "
-        f"({speedup:.2f}x, zero reallocations once warm)"
-    )
-    bench_json(
-        "concat-columnar",
-        pairs=len(build_series),
-        kernel_ms=round(columnar_s * 1e3, 3),
-        reference_ms=round(reference_s * 1e3, 3),
-        speedup=round(speedup, 2),
-        threshold=0.7,
-        zero_reallocations=True,
-    )
-    # Copy-bound on both sides: require parity (no regression), not a win.
-    assert speedup >= 0.7
 
 
 def test_bench_executor_replay(bench_summary, bench_json, best_seconds, bench_tuples):
@@ -270,6 +179,7 @@ def test_bench_executor_replay(bench_summary, bench_json, best_seconds, bench_tu
         f"{cold_s * 1e3:.0f} ms cold ({speedup:.1f}x)"
     )
     bench_json(
+        "BENCH_5.json",
         "executor-replay",
         splits=30,
         warm_ms=round(warm_s * 1e3, 3),
@@ -280,50 +190,11 @@ def test_bench_executor_replay(bench_summary, bench_json, best_seconds, bench_tu
     assert speedup >= 1.3
 
 
-def test_bench_adaptive_descent_rows(bench_summary, bench_json):
-    """Acceptance: adaptive speculation cuts descent rows, plans unchanged."""
-    rng = np.random.default_rng(2013)
-    rows = {"full": 0, "adaptive": 0}
-    for _ in range(10):
-        steps = [
-            StepCost(
-                f"s{i}",
-                int(rng.integers(50_000, 250_000)),
-                cpu_unit_s=float(rng.uniform(2e-9, 2e-8)),
-                gpu_unit_s=float(rng.uniform(1e-9, 2e-8)),
-                intermediate_bytes_per_tuple=8.0,
-            )
-            for i in range(8)
-        ]
-        results = {
-            mode: optimize_pl(steps, speculation=mode) for mode in ("full", "adaptive")
-        }
-        assert results["adaptive"].ratios == results["full"].ratios
-        assert results["adaptive"].total_s == results["full"].total_s
-        for mode, result in results.items():
-            rows[mode] += result.evaluations
-
-    reduction = 1.0 - rows["adaptive"] / rows["full"]
-    bench_summary(
-        f"adaptive PL speculation: {rows['adaptive']} rows vs {rows['full']} "
-        f"full-speculation rows over 10 descents ({reduction * 100:.1f}% fewer)"
-    )
-    bench_json(
-        "adaptive-descent-rows",
-        descents=10,
-        adaptive_rows=rows["adaptive"],
-        full_rows=rows["full"],
-        row_reduction_pct=round(reduction * 100, 1),
-        threshold_pct=10.0,
-    )
-    assert reduction >= 0.10
-
-
 def test_bench_experiment_regeneration(bench_summary, bench_json, best_seconds):
     """Record the end-to-end experiment regen time (the perf trajectory)."""
     from repro.experiments.headline import run_headline
 
     elapsed_s = best_seconds(lambda: run_headline(50_000), repeats=2)
     bench_summary(f"experiment regen: headline(50k tuples) in {elapsed_s:.2f} s")
-    bench_json("experiment-regen", headline_50k_s=round(elapsed_s, 3))
+    bench_json("BENCH_5.json", "experiment-regen", headline_50k_s=round(elapsed_s, 3))
     assert elapsed_s > 0.0

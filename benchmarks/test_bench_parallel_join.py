@@ -67,7 +67,7 @@ def _bench_relations() -> tuple[Relation, Relation]:
 
 
 @needs_gate_cpus
-def test_bench_parallel_pair_speedup(bench_summary, bench_json8, best_seconds):
+def test_bench_parallel_pair_speedup(bench_summary, bench_json, best_seconds):
     """Acceptance: >= 2x over the serial pair loop on 4 pool workers."""
     build, probe = _bench_relations()
 
@@ -97,7 +97,8 @@ def test_bench_parallel_pair_speedup(bench_summary, bench_json8, best_seconds):
         f"serial {serial_s:.3f}s, pooled {pooled_s:.3f}s -> {speedup:.2f}x "
         f"(gate >= {GATE_SPEEDUP}x)"
     )
-    bench_json8(
+    bench_json(
+        "BENCH_8.json",
         "parallel-pairs",
         serial_s=serial_s,
         parallel_s=pooled_s,
@@ -112,7 +113,7 @@ def test_bench_parallel_pair_speedup(bench_summary, bench_json8, best_seconds):
 
 
 @needs_gate_cpus
-def test_bench_fine_grained_parallel_recorded(bench_summary, bench_json8, best_seconds):
+def test_bench_fine_grained_parallel_recorded(bench_summary, bench_json, best_seconds):
     """Record (not gate) the fine-grained variant's pool scaling.
 
     ``PartitionedHashJoin`` ships every pair's per-tuple step series back to
@@ -140,7 +141,8 @@ def test_bench_fine_grained_parallel_recorded(bench_summary, bench_json8, best_s
         f"parallel-pairs-fine: serial {serial_s:.3f}s, pooled {pooled_s:.3f}s "
         f"-> {speedup:.2f}x (recorded, not gated)"
     )
-    bench_json8(
+    bench_json(
+        "BENCH_8.json",
         "parallel-pairs-fine",
         serial_s=serial_s,
         parallel_s=pooled_s,
@@ -151,7 +153,7 @@ def test_bench_fine_grained_parallel_recorded(bench_summary, bench_json8, best_s
     shared_pair_pool(GATE_WORKERS).close()
 
 
-def test_bench_robust_external_join(bench_summary, bench_json8):
+def test_bench_robust_external_join(bench_summary, bench_json):
     """Record the robustness counters of an adversarial external join.
 
     A heavy-hitter key plus a uniform tail forces recursion *and* spilling;
@@ -189,7 +191,8 @@ def test_bench_robust_external_join(bench_summary, bench_json8):
         f"{run.stats.role_reversals} role reversals, "
         f"budget headroom {headroom:.0f} B"
     )
-    bench_json8(
+    bench_json(
+        "BENCH_8.json",
         "robust-external",
         buffer_bytes=buffer_bytes,
         n_super_partitions=run.n_super_partitions,

@@ -7,10 +7,10 @@ gate pins that end to end, over real unix-socket connections:
 * **micro-batching throughput** — 8 concurrent asyncio clients submitting
   64 requests spread over 32 distinct fingerprints must run at least 1.5x
   faster through the micro-batching scheduler (requests coalesced across
-  clients into few ``plan_many(mixed=True)`` calls) than through a naive
+  clients into few ``plan_many`` calls) than through a naive
   server that forwards one request per ``plan_many`` call;
 * **bit-identical serving** — every response that crossed the wire must be
-  byte-for-byte equal to a direct ``plan_many(mixed=True)`` call on the
+  byte-for-byte equal to a direct ``plan_many`` call on the
   same workload: same ratios, same per-step estimate vectors, same totals.
 """
 
@@ -121,7 +121,7 @@ def _drive_server(window_s: float, max_batch: int):
 
 def test_bench_server_micro_batching_gate(bench_summary, bench_json):
     """Acceptance: >= 1.5x for 8 clients x 64 requests vs the naive server,
-    with every served plan bit-identical to direct plan_many(mixed=True)."""
+    with every served plan bit-identical to direct plan_many."""
     # Cold run per measurement (fresh server, scheduler and cache each time);
     # best-of-N so one noisy run cannot flip the gate.
     batched_s = float("inf")
@@ -166,6 +166,7 @@ def test_bench_server_micro_batching_gate(bench_summary, bench_json):
         f"vs {naive_s * 1e3:.1f} ms naive one-per-call ({speedup:.1f}x)"
     )
     bench_json(
+        "BENCH_5.json",
         "server-micro-batching",
         clients=N_CLIENTS,
         requests=N_REQUESTS,

@@ -8,7 +8,7 @@ served plans are bit-identical to a direct ``plan_many`` call.  Shows the
 three serving policies in one run:
 
 * micro-batching — requests from all clients coalesce into a handful of
-  ``plan_many(mixed=True)`` calls;
+  ``plan_many`` calls;
 * weighted fairness — the ``vip`` client (weight 4) gets ~4 batch slots per
   slot of the weight-1 clients while both have work queued;
 * deadlines — a request submitted with a too-tight ``timeout_s`` receives a

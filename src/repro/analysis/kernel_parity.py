@@ -2,10 +2,9 @@
 
 The repro's performance story is "vectorized kernels, bit-matched against a
 scalar reference": every fast path ships behind a toggle keyword
-(``use_batch=``, ``use_bulk=``, ``use_kernels=``, ``vectorized=``,
-``fused=``, ``parallel=``) whose ``False`` side is the slow,
-obviously-correct twin, and a
-parity test drives both sides and compares them exactly.  The contract this
+(``use_batch=``, ``use_bulk=``, ``use_kernels=``, ``fused=``,
+``parallel=``) whose ``False`` side is the slow, obviously-correct twin,
+and a parity test drives both sides and compares them exactly.  The contract this
 checker enforces is the *other* half of that bargain: a toggle without a
 parity test is a fast path nobody is comparing against its reference
 anymore.
@@ -39,9 +38,7 @@ from .core import Checker, Finding, Project, SourceFile, register
 __all__ = ["KernelParityChecker", "TOGGLES"]
 
 #: Reference-toggle parameter names that establish a parity contract.
-TOGGLES = frozenset(
-    {"use_batch", "use_bulk", "use_kernels", "vectorized", "fused", "parallel"}
-)
+TOGGLES = frozenset({"use_batch", "use_bulk", "use_kernels", "fused", "parallel"})
 
 
 def _signature_toggles(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
@@ -82,7 +79,7 @@ class KernelParityChecker(Checker):
     id = "kernel-parity"
     description = (
         "every function exposing a reference toggle (use_batch/use_bulk/"
-        "use_kernels/vectorized/fused/parallel) must have a tests/ call that passes "
+        "use_kernels/fused/parallel) must have a tests/ call that passes "
         "that toggle explicitly — fast paths stay bit-matched to their "
         "scalar references only while something compares them"
     )

@@ -30,6 +30,7 @@ import sys
 from typing import Callable, Sequence
 
 from .core.joins import run_join
+from .core.schemes import Scheme
 from .data.workload import JoinWorkload
 from .experiments import ALL_EXPERIMENTS, ExperimentResult
 from .hardware.machine import coupled_machine, discrete_machine
@@ -51,6 +52,14 @@ def _invoke_runner(runner: Callable, tuples: int | None) -> ExperimentResult:
     if tuples is not None and _supports_argument(runner, "build_tuples"):
         kwargs["build_tuples"] = tuples
     return runner(**kwargs)
+
+
+def _scheme_arg(value: str) -> Scheme:
+    """argparse ``type=`` for ``--scheme``: a bad name is a usage error."""
+    try:
+        return Scheme.parse(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _format_result(result: ExperimentResult, fmt: str) -> str:
@@ -451,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub_join = subparsers.add_parser("join", help="run a single co-processed join")
     sub_join.add_argument("--algorithm", choices=("SHJ", "PHJ"), default="PHJ")
-    sub_join.add_argument("--scheme", default="PL",
+    sub_join.add_argument("--scheme", type=_scheme_arg, default="PL",
                           help="CPU-only, GPU-only, OL, DD or PL (default PL)")
     sub_join.add_argument("--tuples", type=int, default=200_000)
     sub_join.add_argument("--skew", choices=("uniform", "low-skew", "high-skew"),

@@ -62,18 +62,6 @@ def ratio_grid(delta: float = DEFAULT_DELTA) -> np.ndarray:
 #: longer series fall back to the per-step device preference.
 OL_ENUMERATION_LIMIT = 12
 
-#: Valid PL descent speculation modes (see :func:`pl_descent_plan`).
-SPECULATION_MODES = ("full", "adaptive")
-
-
-def validate_speculation(speculation: str) -> None:
-    """Raise :class:`OptimizerError` for an unknown PL speculation mode."""
-    if speculation not in SPECULATION_MODES:
-        raise OptimizerError(
-            f"unknown speculation mode {speculation!r}; "
-            f"expected one of {SPECULATION_MODES}"
-        )
-
 
 def dd_candidate_matrix(n_steps: int, delta: float = DEFAULT_DELTA) -> np.ndarray:
     """The exact ``(len(grid), n_steps)`` candidate matrix ``optimize_dd``
@@ -144,11 +132,6 @@ class SeriesEvaluator:
         if self.cache is not None:
             return self.cache.estimate(self.steps, list(ratios))
         return estimate_series(self.steps, list(ratios))
-
-
-#: Backwards-compatible alias (the evaluator was private before the plan
-#: service started injecting it).
-_SeriesEvaluator = SeriesEvaluator
 
 
 def _resolve_evaluator(
@@ -279,15 +262,6 @@ class _DescentState:
     discarded, and the next segment starts from the following coordinate.
     A round with no accepted updates therefore costs exactly one engine
     call, and a round with ``k`` accepts at most ``k + 1``.
-
-    ``speculation="adaptive"`` speculates per-coordinate during round 1 and
-    fully from round 2 on: first rounds are accept-heavy (each accept
-    discards every speculative row after it), so emitting one coordinate's
-    column at a time there trades one engine call per round for the 25-35%
-    of rows the full-speculation first round throws away.  Later rounds are
-    dominated by no-accept verification sweeps, where full speculation's
-    one-call-per-round is optimal.  The decision sequence — and with it the
-    chosen ratios — is identical either way.
     """
 
     __slots__ = (
@@ -302,7 +276,6 @@ class _DescentState:
         "_improved",
         "_columns",
         "_segment_start",
-        "_speculation",
     )
 
     def __init__(
@@ -310,7 +283,6 @@ class _DescentState:
         start: Sequence[float],
         grid: np.ndarray,
         max_rounds: int,
-        speculation: str = "full",
     ) -> None:
         self.ratios = [float(np.clip(r, 0.0, 1.0)) for r in start]
         self.current_total: float | None = None
@@ -323,26 +295,17 @@ class _DescentState:
         self._improved = False
         self._columns: list[np.ndarray] = []
         self._segment_start = 0
-        self._speculation = speculation
-
-    def single_coordinate_segment(self) -> bool:
-        """Whether the next segment emits only one coordinate's column."""
-        return (
-            self._speculation == "adaptive" and self.rounds == 1 and not self.done
-        )
 
     def prepare_segment(self) -> None:
         """Fix the columns of the next segment against the current base."""
-        n = len(self.ratios)
         self._segment_start = self._next_coord
         if self.done:
             # max_rounds < 1: only the start vector itself is evaluated.
             self._columns = []
         else:
-            stop = self._next_coord + 1 if self.single_coordinate_segment() else n
             self._columns = [
                 self._grid[self._grid != self.ratios[j]]
-                for j in range(self._next_coord, stop)
+                for j in range(self._next_coord, len(self.ratios))
             ]
 
     def build_segment(self) -> np.ndarray:
@@ -405,9 +368,7 @@ class _DescentState:
                 if self._next_coord >= n:
                     self._finish_round()
                 return
-        # No accept: advance past the evaluated columns (the whole rest of
-        # the round under full speculation, one coordinate under adaptive
-        # round-1 speculation).
+        # No accept: the whole rest of the round was evaluated.
         self._next_coord = self._segment_start + len(self._columns)
         if self._next_coord >= n:
             self._finish_round()
@@ -427,7 +388,6 @@ def pl_descent_plan(
     max_rounds: int = 6,
     exhaustive_limit: int = 3,
     exhaustive_delta: float = 0.1,
-    speculation: str = "full",
 ) -> Generator[np.ndarray, np.ndarray, tuple[list[float], dict[str, Any]]]:
     """The PL optimisation as a resumable evaluation plan (a generator).
 
@@ -445,18 +405,10 @@ def pl_descent_plan(
     start's segment stacked (the per-start descents are independent, so
     they advance in parallel and a converged search costs
     ``max`` — not ``sum`` — of the starts' segment counts).
-
-    ``speculation`` selects how much of a round each segment emits:
-    ``"full"`` (the default) speculates every remaining coordinate's column,
-    ``"adaptive"`` emits one coordinate at a time during the accept-heavy
-    first round and speculates fully afterwards — more yields in round 1,
-    but none of their rows are built from a stale base, so lockstep drivers
-    evaluate measurably fewer rows.  The chosen ratios are identical.
     """
     n = len(steps)
     if n == 0:
         raise OptimizerError("cannot optimise an empty step series")
-    validate_speculation(speculation)
     grid = ratio_grid(delta)
     yields = 0
 
@@ -481,16 +433,12 @@ def pl_descent_plan(
         yields += 1
         starts.append(assignments[int(np.argmin(totals))].tolist())
 
-    states = [
-        _DescentState(start, grid, max_rounds, speculation=speculation)
-        for start in starts
-    ]
+    states = [_DescentState(start, grid, max_rounds) for start in starts]
     # Segment memo: the independent starts routinely converge to the same
     # vector, at which point their no-accept verification rounds would
     # re-evaluate identical trial matrices.  A segment is fully determined
-    # by (base ratios, first coordinate, lead-row presence, column layout),
-    # so replaying a previously seen segment's engine totals is exact —
-    # pure row dedup.
+    # by (base ratios, first coordinate, lead-row presence), so replaying a
+    # previously seen segment's engine totals is exact — pure row dedup.
     seen_segments: dict[tuple, np.ndarray] = {}
 
     def segment_key(state: _DescentState) -> tuple[object, ...]:
@@ -498,7 +446,6 @@ def pl_descent_plan(
             tuple(state.ratios),
             state._next_coord,
             state.current_total is None,
-            state.single_coordinate_segment(),
         )
 
     while True:
@@ -547,7 +494,6 @@ def pl_descent_plan(
         "starts": len(states),
         "rounds": [state.rounds for state in states],
         "accepts": [state.accepts for state in states],
-        "speculation": speculation,
     }
     return best_ratios, stats
 
@@ -575,8 +521,6 @@ def optimize_pl(
     cache: EstimateCache | None = None,
     use_batch: bool = True,
     evaluator: SeriesEvaluator | None = None,
-    vectorized: bool = True,
-    speculation: str = "full",
 ) -> OptimizationResult:
     """Per-step ratios minimising the estimated series time.
 
@@ -584,36 +528,28 @@ def optimize_pl(
     exhaustive coarse grid followed by a fine refinement; longer series use
     coordinate descent over the delta grid from several starting points.
 
-    The default vectorized path drives :func:`pl_descent_plan`: every
-    descent round evaluates *all* remaining coordinates' candidate columns
-    (for all live starts at once) in a single engine call, re-batching only
-    after an accepted update invalidates the speculative rows — so a
-    converged round costs one call instead of one per coordinate.
-    Acceptance replays the batched totals in grid order with the
-    per-coordinate loop's strict-improvement threshold, so the returned
-    ratios match both reference paths exactly: ``vectorized=False`` keeps
-    the historical per-coordinate descent (one engine call per coordinate
-    per round — the baseline the speedup gates measure against) and
-    ``use_batch=False`` additionally evaluates its rows through the scalar
-    model.  The paths differ in how many *rows* they evaluate (the
-    vectorized rounds count their speculative rows in ``evaluations``), not
-    in any decision they make.  ``speculation="adaptive"`` additionally
-    speculates per-coordinate in the accept-heavy first round (fewer wasted
-    rows, more engine calls) and fully afterwards; the ratios stay
-    identical.
+    The batched path drives :func:`pl_descent_plan`: every descent round
+    evaluates *all* remaining coordinates' candidate columns (for all live
+    starts at once) in a single engine call, re-batching only after an
+    accepted update invalidates the speculative rows — so a converged round
+    costs one call instead of one per coordinate.  Acceptance replays the
+    batched totals in grid order with the per-coordinate loop's
+    strict-improvement threshold, so the returned ratios match the
+    ``use_batch=False`` reference exactly: the per-coordinate descent (one
+    scalar evaluation pass per coordinate per round).  The two paths differ
+    in how many *rows* they evaluate (the batched rounds count their
+    speculative rows in ``evaluations``), not in any decision they make.
     """
     n = len(steps)
     if n == 0:
         raise OptimizerError("cannot optimise an empty step series")
-    validate_speculation(speculation)
 
     evaluator = _resolve_evaluator(steps, cache, use_batch, evaluator)
     start_evaluations = evaluator.evaluations
 
-    if vectorized and evaluator.use_batch:
+    if evaluator.use_batch:
         plan = pl_descent_plan(
-            steps, delta, max_rounds, exhaustive_limit, exhaustive_delta,
-            speculation=speculation,
+            steps, delta, max_rounds, exhaustive_limit, exhaustive_delta
         )
         best_ratios, stats = drive_plan(plan, evaluator.totals)
         return OptimizationResult(

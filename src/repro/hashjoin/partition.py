@@ -11,14 +11,14 @@ fewer memory stalls during the probe.
 from __future__ import annotations
 
 # repro: kernel
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..data.relation import Relation
 from ..hardware.cache import WorkingSet
 from ..opencl.allocator import MemoryAllocator
-from .hashtable import BUCKET_HEADER_BYTES, KEY_NODE_BYTES, RID_NODE_BYTES, HashTable
+from .hashtable import BUCKET_HEADER_BYTES, HashTable
 from .murmur import (
     DEFAULT_SEED,
     MURMUR_INSTRUCTIONS_PER_KEY,
@@ -390,16 +390,6 @@ def execute_partition_phase(
 # ---------------------------------------------------------------------------
 # Joining the partition pairs with fine-grained SHJ steps
 # ---------------------------------------------------------------------------
-#: Per-tuple work quantities a merged step carries, in field order.
-_WORK_QUANTITIES = (
-    "instructions",
-    "random_accesses",
-    "sequential_bytes",
-    "global_atomics",
-    "local_atomics",
-)
-
-
 def _collapse_scalar(values: list[np.ndarray | float]) -> tuple[bool, float]:
     """Whether all per-pair quantities are one shared scalar (and which).
 
@@ -418,7 +408,7 @@ def _collapse_scalar(values: list[np.ndarray | float]) -> tuple[bool, float]:
 
 
 def _concat_per_tuple(values: list[np.ndarray | float], lengths: list[int]) -> np.ndarray | float:
-    """Reference concatenation of per-tuple work quantities (list + copy)."""
+    """Concatenate one per-tuple work quantity across all pairs."""
     collapsed, scalar = _collapse_scalar(values)
     if collapsed:
         return scalar
@@ -429,87 +419,16 @@ def _concat_per_tuple(values: list[np.ndarray | float], lengths: list[int]) -> n
     return np.concatenate(arrays) if arrays else np.empty(0, dtype=np.float64)
 
 
-class ConcatWorkspace:
-    """Grow-only columnar buffers backing :func:`concat_step_series`.
-
-    One float64 buffer per (step, quantity) slot, grown geometrically and
-    never shrunk — the same pattern as the batch engine's preallocated
-    ``out=`` workspaces.  A workspace hands out *views* of its buffers, so
-    it must only be shared by drivers that consume a merged series before
-    requesting the next one (each join run uses a private workspace by
-    default).
-    """
-
-    def __init__(self) -> None:
-        self._buffers: dict[tuple[str, int, int], np.ndarray] = {}
-
-    def buffer(self, phase: str, step_idx: int, quantity_idx: int, n: int) -> np.ndarray:
-        key = (phase, step_idx, quantity_idx)
-        buf = self._buffers.get(key)
-        if buf is None or buf.shape[0] < n:
-            grown = max(n, 2 * (buf.shape[0] if buf is not None else 0))
-            buf = np.empty(grown, dtype=np.float64)
-            self._buffers[key] = buf
-        return buf[:n]
-
-
-def _concat_columnar(
-    executions: list[StepExecution],
-    lengths: list[int],
-    total: int,
-    phase: str,
-    step_idx: int,
-    workspace: ConcatWorkspace | None,
-) -> PerTupleWork:
-    """Columnar merge of one step's per-tuple work across all pairs.
-
-    Each quantity is written once into a single preallocated column with an
-    allocation-free ``np.concatenate(..., out=)`` over the pairs' arrays and
-    zero-copy broadcast views of their scalars — instead of materialising a
-    temporary per pair and re-concatenating into a fresh output.  Values are
-    bit-identical to the reference path (plain float64 copies either way).
-    """
-    quantities: dict[str, np.ndarray | float] = {}
-    for q_idx, name in enumerate(_WORK_QUANTITIES):
-        values = [getattr(e.work, name) for e in executions]
-        collapsed, scalar = _collapse_scalar(values)
-        if collapsed:
-            quantities[name] = scalar
-            continue
-        if workspace is not None:
-            column = workspace.buffer(phase, step_idx, q_idx, total)
-        else:
-            # Workspace-less fallback path (callers without a ConcatWorkspace);
-            # the workspace branch above is the hot one.
-            column = np.empty(total, dtype=np.float64)  # repro: ignore[numpy-hygiene]
-        pieces = [
-            np.asarray(value, dtype=np.float64)
-            if isinstance(value, np.ndarray)
-            else np.broadcast_to(np.float64(value), n)
-            for value, n in zip(values, lengths)
-        ]
-        np.concatenate(pieces, out=column)
-        quantities[name] = column
-    return PerTupleWork(n_tuples=total, **quantities)
-
-
 def concat_step_series(
     series_list: list[StepSeries],
     phase: str,
     working_set: WorkingSet | None,
-    columnar: bool = True,
-    workspace: ConcatWorkspace | None = None,
 ) -> StepSeries:
     """Merge the same-phase step series of all partition pairs into one.
 
     The merged series processes the concatenation of all pairs' tuples; the
     per-step working set is overridden with the per-pair table size because
     that is what the probe's random accesses actually touch.
-
-    ``columnar`` selects the single-column fill kernel (optionally reusing a
-    grow-only :class:`ConcatWorkspace`); ``columnar=False`` keeps the
-    historical per-pair materialise-and-concatenate loop as the bit-matched
-    reference.
     """
     if not series_list:
         raise PartitionError("no step series to concatenate")
@@ -518,18 +437,14 @@ def concat_step_series(
     for step_idx in range(n_steps):
         executions = [series[step_idx] for series in series_list]
         lengths = [e.n_tuples for e in executions]
-        total = int(sum(lengths))
-        if columnar:
-            work = _concat_columnar(executions, lengths, total, phase, step_idx, workspace)
-        else:
-            work = PerTupleWork(
-                n_tuples=total,
-                instructions=_concat_per_tuple([e.work.instructions for e in executions], lengths),
-                random_accesses=_concat_per_tuple([e.work.random_accesses for e in executions], lengths),
-                sequential_bytes=_concat_per_tuple([e.work.sequential_bytes for e in executions], lengths),
-                global_atomics=_concat_per_tuple([e.work.global_atomics for e in executions], lengths),
-                local_atomics=_concat_per_tuple([e.work.local_atomics for e in executions], lengths),
-            )
+        work = PerTupleWork(
+            n_tuples=int(sum(lengths)),
+            instructions=_concat_per_tuple([e.work.instructions for e in executions], lengths),
+            random_accesses=_concat_per_tuple([e.work.random_accesses for e in executions], lengths),
+            sequential_bytes=_concat_per_tuple([e.work.sequential_bytes for e in executions], lengths),
+            global_atomics=_concat_per_tuple([e.work.global_atomics for e in executions], lengths),
+            local_atomics=_concat_per_tuple([e.work.local_atomics for e in executions], lengths),
+        )
         template = executions[0]
         conflict = {
             kind: max(e.conflict_ratio.get(kind, 0.0) for e in executions)
@@ -594,24 +509,19 @@ class PartitionedHashJoin:
         partition_config: PartitionConfig | None = None,
         target_partition_tuples: int = 64_000,
         use_kernels: bool = True,
-        concat_workspace: ConcatWorkspace | None = None,
         parallel: bool = False,
         n_workers: int | None = None,
     ) -> None:
-        """``use_kernels=False`` routes the partition phase and the per-pair
-        series merge through the scalar reference paths (the pre-kernel
-        per-pass loop and materialise-and-concatenate merge); the results
-        are bit-identical either way.  ``concat_workspace`` opts into a
-        shared grow-only buffer set for drivers that consume each run's
-        series before starting the next run.  ``parallel=True`` joins the
-        independent partition pairs on the shared process pool (``n_workers``
+        """``use_kernels=False`` routes the partition phase through the
+        per-pass reference loop (``fused=False``); the results are
+        bit-identical either way.  ``parallel=True`` joins the independent
+        partition pairs on the shared process pool (``n_workers``
         processes); ``parallel=False`` keeps the serial per-pair loop as the
         bit-matched reference."""
         self.config = config or HashJoinConfig()
         self.partition_config = partition_config
         self.target_partition_tuples = target_partition_tuples
         self.use_kernels = use_kernels
-        self.concat_workspace = concat_workspace
         self.parallel = parallel
         self.n_workers = n_workers
 
@@ -676,14 +586,8 @@ class PartitionedHashJoin:
             bytes=float(max_table_bytes),
             shared_between_devices=self.config.shared_hash_table,
         )
-        build_series = concat_step_series(
-            build_series_per_pair, "build", pair_ws,
-            columnar=self.use_kernels, workspace=self.concat_workspace,
-        )
-        probe_series = concat_step_series(
-            probe_series_per_pair, "probe", pair_ws,
-            columnar=self.use_kernels, workspace=self.concat_workspace,
-        )
+        build_series = concat_step_series(build_series_per_pair, "build", pair_ws)
+        probe_series = concat_step_series(probe_series_per_pair, "probe", pair_ws)
 
         return PHJRun(
             partition_phase=partition_phase,

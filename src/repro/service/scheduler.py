@@ -1,7 +1,7 @@
 """Micro-batching scheduler with per-client fairness (ISSUE 4 tentpole).
 
 The serving stack's throughput comes from one property of the engine: a
-single ``plan_many(mixed=True)`` call over N requests costs roughly one
+single ``plan_many`` call over N requests costs roughly one
 vectorized pass per *round*, not per request.  :class:`MicroBatchScheduler`
 therefore never forwards requests one at a time — it coalesces everything
 arriving within a configurable window (across all clients) into one

@@ -537,10 +537,15 @@ class PlanClient:
             # The caller is taking an exception instead of the reply (write
             # failure, timeout cancellation): deregister the future so the
             # read loop's worker-lost fan-out never sets an exception nobody
-            # retrieves.
-            orphan = self._pending.pop(envelope.seq, None)
-            if orphan is not None and not orphan.done():
-                orphan.cancel()
+            # retrieves.  The read loop may already have failed it (and
+            # cleared ``_pending``) while this request sat in ``drain()``,
+            # so settle the local future itself: retrieve its exception if
+            # it is done, cancel it otherwise.
+            self._pending.pop(envelope.seq, None)
+            if not future.done():
+                future.cancel()
+            elif not future.cancelled():
+                future.exception()
             raise
 
     @staticmethod

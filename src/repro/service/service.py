@@ -20,11 +20,8 @@ series the batch mixes:
 3. **Solve** — grid-shaped tasks pick their answer straight from their
    mixed slice; PL tasks take their descent plan's result; WHAT-IF/CPU/GPU
    answers are one cached scalar estimate each.  Every answer is
-   bit-identical to calling ``optimize_scheme`` per request.
-
-``PlanService(mixed=False)`` keeps the PR 2 evaluation strategy (one engine
-call per distinct step series, PL solved per task with the per-coordinate
-descent on the raw engine) as a reference/benchmark baseline.
+   bit-identical to calling ``optimize_scheme`` per request, whose ratios in
+   turn equal the scalar ``SeriesEvaluator(use_batch=False)`` reference.
 
 The cache defaults to the process-wide
 :func:`~repro.costmodel.batch.shared_estimate_cache`, so repeated service
@@ -38,48 +35,32 @@ pool return exactly what the single-threaded path would.
 from __future__ import annotations
 
 from collections import Counter, OrderedDict
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 from ..costmodel.abstract import StepCost
-from ..costmodel.batch import (
-    EstimateCache,
-    Fingerprint,
-    batch_totals_mixed,
-    shared_estimate_cache,
-)
+from ..costmodel.batch import EstimateCache, batch_totals_mixed, shared_estimate_cache
 from ..costmodel.optimizer import (
     OL_ENUMERATION_LIMIT,
     OptimizationResult,
     SeriesEvaluator,
     dd_candidate_matrix,
     ol_candidate_matrix,
-    optimize_pl,
     optimize_scheme,
     pl_descent_plan,
-    validate_speculation,
 )
 from ..locking import make_lock
 from .api import WHAT_IF, PlanRequest, PlanResponse, TaskKey, WorkloadError
 
-__all__ = ["BatchFormer", "PlanService", "dedup_tasks"]
-
-#: A batch-formation strategy: maps the validated request batch to the
-#: ordered ``task_key -> representative request`` mapping the evaluation
-#: strategies solve.  Injectable via ``PlanService(batch_former=...)``.
-BatchFormer = Callable[[Sequence[PlanRequest]], "OrderedDict[TaskKey, PlanRequest]"]
+__all__ = ["PlanService", "dedup_tasks"]
 
 
 def dedup_tasks(batch: Sequence[PlanRequest]) -> "OrderedDict[TaskKey, PlanRequest]":
-    """Default batch formation: collapse requests with identical task keys.
+    """Collapse requests with identical task keys into one task each.
 
     The first request with a given key represents the task; every sibling
-    shares its answer.  Custom formers (the micro-batching scheduler's
-    coalesced cross-client batches, sharded services, ...) must return an
-    entry for every task key appearing in the batch — ``plan_many`` rejects
-    a former that drops one, because a silent partial answer set would be
-    indistinguishable from a solved batch.
+    shares its answer.
     """
     tasks: OrderedDict[TaskKey, PlanRequest] = OrderedDict()
     for request in batch:
@@ -96,38 +77,12 @@ class PlanService:
     default) when calling ``plan``/``plan_many`` from multiple threads — a
     plain :class:`EstimateCache` is fine for single-threaded use only.
 
-    ``mixed`` selects the evaluation strategy: the default stacks candidate
-    rows of *all* tasks — across different step series — into one
-    mixed-series engine call per round; ``mixed=False`` restores the PR 2
-    strategy (per-fingerprint stacking, one call per distinct series, PL
-    solved per task with the per-coordinate descent) for comparison.  Both
-    strategies return bit-identical plans.
+    Every batch stacks the candidate rows of *all* its tasks — across
+    different step series — into one mixed-series engine call per round.
     """
 
-    def __init__(
-        self,
-        cache: EstimateCache | None = None,
-        mixed: bool = True,
-        batch_former: BatchFormer | None = None,
-        speculation: str = "full",
-    ) -> None:
+    def __init__(self, cache: EstimateCache | None = None) -> None:
         self.cache = cache if cache is not None else shared_estimate_cache()
-        self.mixed = mixed
-        #: Batch formation is injectable (ISSUE 4): the serving stack's
-        #: micro-batching scheduler coalesces requests across clients and
-        #: windows before they ever reach ``plan_many``, so the grouping
-        #: step must be a strategy, not a baked-in loop.  The default is
-        #: :func:`dedup_tasks`; any replacement must keep answers
-        #: bit-identical (it may only change *which* requests share work).
-        self.batch_former: BatchFormer = batch_former or dedup_tasks
-        #: PL descent speculation mode handed to every descent plan:
-        #: "full" emits whole rounds (fewest engine calls), "adaptive"
-        #: emits round 1 per-coordinate (fewest evaluated rows on
-        #: accept-heavy descents).  Answers are bit-identical either way.
-        #: Validated here so a misconfigured service fails at construction,
-        #: not on its first PL request.
-        validate_speculation(speculation)
-        self.speculation = speculation
         self._lock = make_lock("plan-service")
         self.requests_served = 0
         self.tasks_solved = 0
@@ -150,24 +105,13 @@ class PlanService:
         if not batch:
             return []
 
-        # 1. Form the task batch (default: dedup identical task keys) and
-        #    remember how many requests share each task.
-        tasks = self.batch_former(batch)
+        # 1. Dedup identical task keys and remember how many requests
+        #    share each task.
+        tasks = dedup_tasks(batch)
         group_sizes = Counter(request.task_key for request in batch)
-        missing = [k for k in group_sizes if k not in tasks]
-        if missing:
-            raise WorkloadError(
-                f"batch former dropped {len(missing)} task(s) present in the "
-                "request batch; a former may regroup requests but must keep "
-                "an entry per task key"
-            )
 
         # 2./3. Evaluate and solve every unique task.
-        if self.mixed:
-            answers, engine_calls = self._solve_mixed(tasks)
-        else:
-            answers = self._solve_per_fingerprint(tasks)
-            engine_calls = 0
+        answers, engine_calls = self._solve_mixed(tasks)
 
         responses: list[PlanResponse] = []
         charged: set[tuple] = set()
@@ -194,8 +138,6 @@ class PlanService:
         return responses
 
     # ------------------------------------------------------------------
-    # Mixed-series strategy: one engine call per round for the whole batch.
-    # ------------------------------------------------------------------
     def _solve_mixed(
         self, tasks: "OrderedDict[TaskKey, PlanRequest]"
     ) -> tuple[dict[tuple, OptimizationResult], int]:
@@ -217,9 +159,7 @@ class PlanService:
             if matrix is not None and matrix.size:
                 grid_tasks.append((key, task, matrix))
             elif task.scheme == "PL":
-                plan = pl_descent_plan(
-                    list(task.steps), task.delta, speculation=self.speculation
-                )
+                plan = pl_descent_plan(list(task.steps), task.delta)
                 first_matrix = next(plan)
                 plans[key] = plan
                 pending[key] = first_matrix
@@ -290,35 +230,8 @@ class PlanService:
             )
         for key, task in tasks.items():
             if key not in answers:  # WHAT-IF, CPU/GPU, OL beyond enumeration
-                answers[key] = self._solve(task, None)
+                answers[key] = self._solve(task)
         return answers, engine_calls
-
-    # ------------------------------------------------------------------
-    # Per-fingerprint strategy (the PR 2 path, kept as reference baseline).
-    # ------------------------------------------------------------------
-    def _solve_per_fingerprint(
-        self, tasks: "OrderedDict[TaskKey, PlanRequest]"
-    ) -> dict[tuple, OptimizationResult]:
-        """One stacked engine call per distinct step series, PL per task."""
-        stacks: OrderedDict[
-            Fingerprint, list[tuple[TaskKey, np.ndarray]]
-        ] = OrderedDict()
-        steps_for: dict[tuple, tuple[StepCost, ...]] = {}
-        for key, task in tasks.items():
-            matrix = self._candidate_matrix(task)
-            if matrix is None or not matrix.size:
-                continue
-            stacks.setdefault(task.fingerprint, []).append((key, matrix))
-            steps_for[task.fingerprint] = task.steps
-        grids: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        for fingerprint, entries in stacks.items():
-            stacked = np.vstack([matrix for _, matrix in entries])
-            totals = self.cache.totals(steps_for[fingerprint], stacked)
-            offset = 0
-            for key, matrix in entries:
-                grids[key] = (matrix, totals[offset : offset + matrix.shape[0]])
-                offset += matrix.shape[0]
-        return {key: self._solve(task, grids.get(key)) for key, task in tasks.items()}
 
     # ------------------------------------------------------------------
     def _candidate_matrix(self, task: PlanRequest) -> np.ndarray | None:
@@ -339,48 +252,17 @@ class PlanService:
             return ol_candidate_matrix(n)
         return None
 
-    def _solve(
-        self,
-        task: PlanRequest,
-        grid: tuple[np.ndarray, np.ndarray] | None,
-    ) -> OptimizationResult:
-        """One task's answer; bit-identical to the ``optimize_*`` reference.
-
-        Grid-shaped tasks pick their answer from the stacked slice with the
-        same first-minimum scan their optimiser would run over the same
-        totals, so the chosen ratios (and tie-breaks) are identical.  In the
-        per-fingerprint strategy PL runs the PR 2 per-coordinate descent per
-        task on the raw batch engine — the baseline the mixed strategy's
-        lockstep vectorized descent is gated against.
-        """
-        steps = task.steps
-        scheme = task.scheme
-        if scheme == WHAT_IF:
+    def _solve(self, task: PlanRequest) -> OptimizationResult:
+        """A task no mixed round answers: WHAT-IF, CPU/GPU, or OL beyond
+        the enumeration limit; bit-identical to ``optimize_scheme``."""
+        if task.scheme == WHAT_IF:
             ratios = list(task.ratios or ())
-            estimate = self.cache.estimate(steps, ratios)
+            estimate = self.cache.estimate(task.steps, ratios)
             return OptimizationResult(
                 ratios=ratios, estimate=estimate, evaluations=1, scheme=WHAT_IF
             )
-        if grid is not None:
-            # DD's delta grid and OL's 0/1 enumeration: first minimum of the
-            # slice, exactly like np.argmin over the optimiser's own batch.
-            matrix, totals = grid
-            ratios = matrix[int(np.argmin(totals))].tolist()
-            return OptimizationResult(
-                ratios=ratios,
-                estimate=self.cache.estimate(steps, ratios),
-                evaluations=int(matrix.shape[0]),
-                scheme=scheme,
-            )
-        if scheme == "PL":
-            return optimize_pl(
-                steps,
-                task.delta,
-                evaluator=SeriesEvaluator(steps),
-                vectorized=False,
-            )
-        evaluator = SeriesEvaluator(steps, cache=self.cache)
-        return optimize_scheme(scheme, steps, task.delta, evaluator=evaluator)
+        evaluator = SeriesEvaluator(task.steps, cache=self.cache)
+        return optimize_scheme(task.scheme, task.steps, task.delta, evaluator=evaluator)
 
     # ------------------------------------------------------------------
     def flush_cache(self) -> None:

@@ -16,8 +16,8 @@ def uncovered_join(keys, fused: bool = True):  # SEED: no parity test
     return keys if fused else list(keys)
 
 
-def implicit_join(keys, vectorized: bool = True):  # SEED: toggle never passed
-    return keys if vectorized else list(keys)
+def implicit_join(keys, use_batch: bool = True):  # SEED: toggle never passed
+    return keys if use_batch else list(keys)
 
 
 def _private_join(keys, use_batch: bool = True):

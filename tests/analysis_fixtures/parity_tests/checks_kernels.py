@@ -19,6 +19,6 @@ def check_covered_table_parity():
 
 
 def check_implicit_join_runs():
-    # Calls the function but never pins `vectorized=` — must NOT count as
+    # Calls the function but never pins `use_batch=` — must NOT count as
     # parity coverage.
     assert implicit_join([1, 2]) == [1, 2]

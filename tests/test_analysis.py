@@ -152,7 +152,7 @@ class TestKernelParity:
         contexts = sorted(f.key.rsplit(":", 1)[-1] for f in findings)
         assert contexts == [
             "UncoveredTable.use_batch",
-            "implicit_join.vectorized",
+            "implicit_join.use_batch",
             "uncovered_join.fused",
         ]
 

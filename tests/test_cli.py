@@ -67,6 +67,14 @@ class TestCommands:
         assert main(["join", "--tuples", "4000", "--architecture", "discrete"]) == 0
         assert "(discrete)" in capsys.readouterr().out
 
+    def test_join_unknown_scheme_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["join", "--scheme", "BOGUS", "--tuples", "1000"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--scheme" in err and "'BOGUS'" in err
+        assert "Traceback" not in err
+
     def test_report_subset_to_file(self, tmp_path, capsys):
         output = tmp_path / "report.md"
         assert main(["report", "--tuples", "6000", "--only", "table1", "fig04",

@@ -227,22 +227,6 @@ class TestOptimizerParity:
 
     @SETTINGS
     @given(
-        st.integers(min_value=1, max_value=8),
-        st.integers(min_value=0, max_value=2**31 - 1),
-    )
-    def test_pl_vectorized_toggle_identical_decisions(self, n_steps, seed):
-        """vectorized=False (per-coordinate descent) is the reference the
-        speculative batched descent must match ratio-for-ratio."""
-        steps = random_steps(np.random.default_rng(seed), n_steps)
-        batched = optimize_pl(steps, delta=0.1, vectorized=True)
-        reference = optimize_pl(steps, delta=0.1, vectorized=False)
-        assert batched.ratios == reference.ratios
-        assert batched.total_s == pytest.approx(
-            reference.total_s, abs=TOL, rel=TOL
-        )
-
-    @SETTINGS
-    @given(
         st.integers(min_value=1, max_value=6),
         st.integers(min_value=0, max_value=2**31 - 1),
     )

@@ -11,15 +11,11 @@ predecessor as a togglable reference path, and this suite pins the two at
 * ``final_partition_ids`` / ``execute_partition_phase`` — the fused
   single-hash kernel equals the per-pass loop for every (bits, passes)
   configuration, including allocator accounting.
-* ``concat_step_series`` — the columnar fill (with or without a grow-only
-  workspace) equals the materialise-and-concatenate reference, including
-  the scalar-collapse rules; all-NaN scalars collapse instead of silently
-  broadcasting (regression).
+* ``concat_step_series`` — the scalar-collapse rules: all-NaN scalars
+  collapse instead of silently broadcasting (regression).
 * Whole joins — ``PartitionedHashJoin``/``CoarseGrainedPHJ`` runs with
   ``use_kernels=False`` return bit-identical results, step series and work
   totals.
-* ``pl_descent_plan(speculation="adaptive")`` — identical plans with
-  strictly fewer (or equal) evaluated rows than full speculation.
 """
 
 from __future__ import annotations
@@ -29,12 +25,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.costmodel import StepCost, optimize_pl, optimize_scheme
 from repro.data.relation import Relation
 from repro.data.workload import JoinWorkload
 from repro.hashjoin import (
     CoarseGrainedPHJ,
-    ConcatWorkspace,
     HashJoinConfig,
     HashTable,
     PartitionConfig,
@@ -46,7 +40,6 @@ from repro.hashjoin import (
 )
 from repro.hashjoin.hashtable import HashTableError
 from repro.hashjoin.steps import PerTupleWork, StepExecution, StepSeries, step_by_name
-from repro.service import PlanRequest, PlanService
 
 SETTINGS = settings(
     max_examples=30,
@@ -341,7 +334,7 @@ class TestPartitionParity:
 
 
 # ---------------------------------------------------------------------------
-# Columnar step-series concatenation vs the reference concatenate
+# Step-series concatenation: scalar-collapse rules
 # ---------------------------------------------------------------------------
 def synthetic_series(rng: np.random.Generator, lengths, nan_mode=None) -> list[StepSeries]:
     """One single-step series per 'pair', with a random scalar/array mix."""
@@ -353,8 +346,6 @@ def synthetic_series(rng: np.random.Generator, lengths, nan_mode=None) -> list[S
             choice = rng.integers(0, 3)
             if nan_mode == "all" and name == "instructions":
                 quantities[name] = float("nan")
-            elif nan_mode == "mixed" and name == "instructions":
-                quantities[name] = float("nan") if rng.integers(0, 2) else 1.5
             elif choice == 0:
                 quantities[name] = shared_scalar  # collapsible across pairs
             elif choice == 1:
@@ -378,33 +369,15 @@ def synthetic_series(rng: np.random.Generator, lengths, nan_mode=None) -> list[S
     return series
 
 
-class TestConcatParity:
-    @SETTINGS
-    @given(
-        lengths=st.lists(st.integers(0, 40), min_size=1, max_size=8),
-        nan_mode=st.sampled_from([None, "all", "mixed"]),
-        use_workspace=st.booleans(),
-        seed=st.integers(0, 10_000),
-    )
-    def test_columnar_equals_reference(self, lengths, nan_mode, use_workspace, seed):
-        rng = np.random.default_rng(seed)
-        series = synthetic_series(rng, lengths, nan_mode)
-        workspace = ConcatWorkspace() if use_workspace else None
-        columnar = concat_step_series(
-            series, "probe", None, columnar=True, workspace=workspace
-        )
-        reference = concat_step_series(series, "probe", None, columnar=False)
-        assert_series_equal(columnar, reference)
-
+class TestConcatCollapse:
     def test_all_nan_scalars_collapse(self):
         """Regression: NaN != NaN used to force a full-array broadcast."""
         rng = np.random.default_rng(0)
         series = synthetic_series(rng, [5, 7], nan_mode="all")
-        for columnar in (True, False):
-            merged = concat_step_series(series, "probe", None, columnar=columnar)
-            value = merged[0].work.instructions
-            assert not isinstance(value, np.ndarray)
-            assert np.isnan(value)
+        merged = concat_step_series(series, "probe", None)
+        value = merged[0].work.instructions
+        assert not isinstance(value, np.ndarray)
+        assert np.isnan(value)
 
     def test_mixed_nan_scalars_broadcast(self):
         rng = np.random.default_rng(1)
@@ -412,23 +385,10 @@ class TestConcatParity:
         series = synthetic_series(rng, lengths)
         series[0][0].work.instructions = float("nan")
         series[1][0].work.instructions = 2.0
-        for columnar in (True, False):
-            merged = concat_step_series(series, "probe", None, columnar=columnar)
-            value = merged[0].work.instructions
-            assert isinstance(value, np.ndarray)
-            assert np.all(np.isnan(value[:4])) and np.all(value[4:] == 2.0)
-
-    def test_workspace_buffers_are_reused(self):
-        rng = np.random.default_rng(2)
-        workspace = ConcatWorkspace()
-        first = workspace.buffer("probe", 0, 0, 64)
-        base = first.base if first.base is not None else first
-        again = workspace.buffer("probe", 0, 0, 32)
-        assert (again.base if again.base is not None else again) is base
-        # Growing reallocates, geometrically.
-        grown = workspace.buffer("probe", 0, 0, 65)
-        assert grown.shape[0] == 65
-        assert (grown.base if grown.base is not None else grown) is not base
+        merged = concat_step_series(series, "probe", None)
+        value = merged[0].work.instructions
+        assert isinstance(value, np.ndarray)
+        assert np.all(np.isnan(value[:4])) and np.all(value[4:] == 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -454,24 +414,6 @@ class TestJoinParity:
         for series_vec, series_ref in zip(vec.step_series, ref.step_series):
             assert_series_equal(series_vec, series_ref)
 
-    def test_phj_workspace_reuse_across_runs(self):
-        workload = JoinWorkload.uniform(2_000, 2_000, seed=9)
-        workspace = ConcatWorkspace()
-        join = PartitionedHashJoin(
-            partition_config=PartitionConfig(bits_per_pass=4, n_passes=1),
-            concat_workspace=workspace,
-        )
-        reference = PartitionedHashJoin(
-            partition_config=PartitionConfig(bits_per_pass=4, n_passes=1),
-            use_kernels=False,
-        )
-        # Consume each run fully before the next one (the workspace contract).
-        for _ in range(2):
-            run = join.run(workload.build, workload.probe)
-            ref = reference.run(workload.build, workload.probe)
-            for series_vec, series_ref in zip(run.step_series, ref.step_series):
-                assert_series_equal(series_vec, series_ref)
-
     def test_coarse_phj_bit_identical(self):
         workload = JoinWorkload.uniform(3_000, 3_000, seed=13)
         runs = {
@@ -487,66 +429,3 @@ class TestJoinParity:
         assert vec.total_table_bytes == ref.total_table_bytes
         assert_series_equal(vec.pair_series, ref.pair_series)
 
-
-# ---------------------------------------------------------------------------
-# Adaptive PL descent speculation
-# ---------------------------------------------------------------------------
-def random_step_costs(rng: np.random.Generator, n: int) -> list[StepCost]:
-    return [
-        StepCost(
-            f"s{i}",
-            int(rng.integers(10_000, 250_000)),
-            cpu_unit_s=float(rng.uniform(1e-9, 5e-8)),
-            gpu_unit_s=float(rng.uniform(1e-9, 5e-8)),
-            intermediate_bytes_per_tuple=8.0,
-        )
-        for i in range(n)
-    ]
-
-
-class TestAdaptiveSpeculation:
-    @SETTINGS
-    @given(n=st.integers(4, 10), seed=st.integers(0, 10_000))
-    def test_adaptive_plans_identical_with_fewer_rows(self, n, seed):
-        steps = random_step_costs(np.random.default_rng(seed), n)
-        full = optimize_pl(steps, speculation="full")
-        adaptive = optimize_pl(steps, speculation="adaptive")
-        assert adaptive.ratios == full.ratios
-        assert adaptive.total_s == full.total_s
-        assert adaptive.stats["rounds"] == full.stats["rounds"]
-        assert adaptive.stats["accepts"] == full.stats["accepts"]
-        assert adaptive.stats["speculation"] == "adaptive"
-        assert adaptive.evaluations <= full.evaluations
-
-    def test_accept_heavy_first_round_drops_rows(self):
-        rows = {"full": 0, "adaptive": 0}
-        rng = np.random.default_rng(2013)
-        for _ in range(8):
-            steps = random_step_costs(rng, 8)
-            for mode in rows:
-                rows[mode] += optimize_pl(steps, speculation=mode).evaluations
-        assert rows["adaptive"] < 0.9 * rows["full"]
-
-    def test_unknown_speculation_mode_rejected(self):
-        from repro.costmodel.optimizer import OptimizerError, pl_descent_plan
-
-        steps = random_step_costs(np.random.default_rng(0), 4)
-        with pytest.raises(OptimizerError):
-            next(pl_descent_plan(steps, speculation="bogus"))
-
-    def test_service_adaptive_answers_bit_identical(self):
-        rng = np.random.default_rng(5)
-        requests = [
-            PlanRequest(
-                request_id=f"r{i}",
-                scheme="PL",
-                steps=tuple(random_step_costs(rng, 6)),
-                delta=0.05,
-            )
-            for i in range(4)
-        ]
-        adaptive = PlanService(speculation="adaptive").plan_many(requests)
-        for request, response in zip(requests, adaptive):
-            reference = optimize_scheme("PL", list(request.steps), delta=request.delta)
-            assert response.ratios == reference.ratios
-            assert response.estimate.total_s == reference.estimate.total_s

@@ -14,6 +14,7 @@ The load-bearing guarantees pinned here (ISSUE 4):
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import os
 import socket
@@ -33,6 +34,7 @@ from repro.service import (
     Envelope,
     ErrorReply,
     MicroBatchScheduler,
+    PlanClient,
     PlanRequest,
     PlanResult,
     PlanServer,
@@ -43,10 +45,8 @@ from repro.service import (
     SchedulerError,
     SharedEstimateCache,
     TokenBucket,
-    WorkloadError,
     clear_stale_unix_socket,
     connect_plan_client,
-    dedup_tasks,
 )
 from repro.service.protocol import (
     KIND_ERROR,
@@ -590,47 +590,6 @@ class TestSchedulerDeadlines:
 
 
 # ---------------------------------------------------------------------------
-# Injectable batch formation (the PlanService refactor behind the scheduler).
-# ---------------------------------------------------------------------------
-class TestBatchFormer:
-    def test_default_is_dedup_tasks(self):
-        service = fresh_service()
-        assert service.batch_former is dedup_tasks
-
-    def test_custom_former_observes_traffic_without_changing_answers(self):
-        requests = mixed_requests(9, 2, seed=14)
-        seen_batches = []
-
-        def spying_former(batch):
-            seen_batches.append(len(batch))
-            return dedup_tasks(batch)
-
-        service = PlanService(
-            cache=SharedEstimateCache(), batch_former=spying_former
-        )
-        responses = service.plan_many(requests)
-        reference = fresh_service().plan_many(requests)
-        assert seen_batches == [9]
-        for got, want in zip(responses, reference):
-            assert got.ratios == want.ratios
-            assert got.total_s == want.total_s
-
-    def test_former_dropping_tasks_is_rejected(self):
-        requests = mixed_requests(4, 2, seed=15)
-
-        def lossy_former(batch):
-            tasks = dedup_tasks(batch)
-            tasks.popitem()
-            return tasks
-
-        service = PlanService(
-            cache=SharedEstimateCache(), batch_former=lossy_former
-        )
-        with pytest.raises(WorkloadError):
-            service.plan_many(requests)
-
-
-# ---------------------------------------------------------------------------
 # Server + client over real sockets.
 # ---------------------------------------------------------------------------
 class TestPlanServer:
@@ -947,6 +906,47 @@ class TestPlanServer:
                 await connect_plan_client("/tmp/x.sock", host="h", port=1)
 
         asyncio.run(go())
+
+
+class _DyingWriter:
+    """Stream-writer stand-in whose ``drain`` outlives the connection: it
+    hits the reader with EOF, lets the client's read loop fail every
+    pending future, and only then raises the transport error."""
+
+    def __init__(self, reader: asyncio.StreamReader) -> None:
+        self._reader = reader
+
+    def write(self, data: bytes) -> None:
+        pass
+
+    async def drain(self) -> None:
+        self._reader.feed_eof()
+        for _ in range(5):
+            await asyncio.sleep(0)
+        raise ConnectionResetError("connection reset during drain")
+
+
+class TestClientFutureHygiene:
+    def test_connection_lost_during_drain_leaves_no_unretrieved_future(self):
+        """Regression: the read loop failed the request's future while the
+        request sat in ``drain()``; the write error then skipped the future
+        and asyncio logged "Future exception was never retrieved"."""
+
+        async def go():
+            loop = asyncio.get_running_loop()
+            contexts = []
+            loop.set_exception_handler(lambda _loop, ctx: contexts.append(ctx))
+            reader = asyncio.StreamReader()
+            client = PlanClient(reader, _DyingWriter(reader))
+            await client._start()
+            with pytest.raises(ConnectionResetError):
+                await client.submit(mixed_requests(1, 1)[0])
+            await asyncio.sleep(0)
+            gc.collect()
+            return [str(ctx.get("message")) for ctx in contexts]
+
+        messages = asyncio.run(go())
+        assert not [m for m in messages if "never retrieved" in m], messages
 
 
 # ---------------------------------------------------------------------------
