@@ -31,24 +31,15 @@ BENCH_TUPLES = int(os.environ.get("REPRO_BENCH_TUPLES", "200000"))
 ROOT = Path(__file__).resolve().parent.parent
 REPORT_PATH = ROOT / "bench_report.txt"
 
-#: Machine-readable companions of the report, keyed by file name under
-#: ``ROOT``, each with the header fields it starts from.  Every speedup
-#: gate records its measured numbers in one of them (one object per gate),
-#: and CI uploads the files as build artifacts so the perf trajectory across
-#: changes can be charted without parsing logs:
-#:
-#: * ``BENCH_5.json`` — the figure, kernel and cost-model gates;
-#: * ``BENCH_7.json`` — the serving tier (pre-fork pool + persistent cache
-#:   store), so its artifact can gate CI without the figure benchmarks;
-#: * ``BENCH_8.json`` — the parallel join (serial-vs-parallel speedups and
-#:   robustness counters);
-#: * ``BENCH_10.json`` — the chaos gates (respawn latencies, retry counts,
-#:   failover success rates).
-BENCH_ARTIFACTS: dict[str, dict[str, Any]] = {
-    "BENCH_5.json": {"bench_tuples": BENCH_TUPLES},
-    "BENCH_7.json": {"cpu_count": os.cpu_count()},
-    "BENCH_8.json": {"cpu_count": os.cpu_count()},
-    "BENCH_10.json": {"cpu_count": os.cpu_count()},
+#: The machine-readable companion of the report.  Every speedup gate records
+#: its measured numbers there under its own name, after a header with the
+#: machine context, and CI uploads the file as a build artifact so the perf
+#: trajectory across changes can be charted without parsing logs.  Both
+#: files are regenerated by every run and are not tracked.
+BENCH_JSON_PATH = ROOT / "BENCH.json"
+BENCH_HEADER: dict[str, Any] = {
+    "cpu_count": os.cpu_count(),
+    "bench_tuples": BENCH_TUPLES,
 }
 
 
@@ -62,31 +53,28 @@ def _fresh_report() -> None:
     REPORT_PATH.write_text(
         f"Regenerated tables and figures (relation size {BENCH_TUPLES} tuples)\n\n"
     )
-    for artifact, header in BENCH_ARTIFACTS.items():
-        (ROOT / artifact).write_text(
-            json.dumps({**header, "gates": {}}, indent=2) + "\n"
-        )
+    BENCH_JSON_PATH.write_text(
+        json.dumps({**BENCH_HEADER, "gates": {}}, indent=2) + "\n"
+    )
 
 
 @pytest.fixture(scope="session")
 def bench_json():
-    """Record one gate's measured numbers in a machine-readable artifact.
+    """Record one gate's measured numbers in ``BENCH.json``.
 
-    ``bench_json("BENCH_5.json", "merge-kernel", speedup=5.7, ...)`` merges
-    the fields under ``gates[name]`` in that artifact (one of
-    :data:`BENCH_ARTIFACTS`), recreating it when a run of only some gates
-    finds it missing; values must be JSON-serialisable (numbers, strings,
-    booleans, lists).
+    ``bench_json("merge-kernel", speedup=5.7, ...)`` merges the fields under
+    ``gates["merge-kernel"]``, recreating the file when a run of only some
+    gates finds it missing; values must be JSON-serialisable (numbers,
+    strings, booleans, lists).
     """
 
-    def record(artifact: str, name: str, **fields) -> None:
-        path = ROOT / artifact
+    def record(name: str, **fields) -> None:
         try:
-            data = json.loads(path.read_text())
+            data = json.loads(BENCH_JSON_PATH.read_text())
         except (OSError, ValueError):
-            data = {**BENCH_ARTIFACTS[artifact], "gates": {}}
+            data = {**BENCH_HEADER, "gates": {}}
         data.setdefault("gates", {}).setdefault(name, {}).update(fields)
-        path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        BENCH_JSON_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
     return record
 

@@ -1,6 +1,6 @@
 """Chaos gates for the failure-recovery plane (ISSUE 10 acceptance).
 
-Two gates, both recorded in ``BENCH_10.json`` for the CI ``chaos-gate`` job:
+Two gates, both recorded in ``BENCH.json`` for the CI ``chaos-gate`` job:
 
 * **failover success rate** — seeded random fault schedules against a
   2-worker pool: every request must be answered exactly once and
@@ -188,7 +188,6 @@ def test_bench_chaos_failover_success_rate(bench_summary, bench_json):
         f"{retries_total} retries, {respawns_total} respawns"
     )
     bench_json(
-        "BENCH_10.json",
         "seeded-schedules",
         seeds=list(CHAOS_SEEDS),
         requests_per_schedule=N_REQUESTS,
@@ -273,7 +272,6 @@ def test_bench_chaos_forked_failover_latency(bench_summary, bench_json):
         f"({retries} retries; clean {clean_s:.3f}s, faulted {fault_s:.3f}s)"
     )
     bench_json(
-        "BENCH_10.json",
         "forked-failover",
         clean_s=clean_s,
         faulted_s=fault_s,

@@ -15,7 +15,7 @@ parity on the benchmark shapes:
   (the Monte Carlo measurement loop) with the memoised workload proxy
   versus cold per-call recomputation: gate >= 1.3x.
 
-Every gate records its measured numbers in ``BENCH_5.json`` (uploaded as a
+Every gate records its measured numbers in ``BENCH.json`` (uploaded as a
 CI artifact) besides the human-readable summary line.
 """
 
@@ -96,7 +96,6 @@ def test_bench_merge_kernel(bench_summary, bench_json):
         f"{bulk_s * 1e3:.1f} ms vs {reference_s * 1e3:.1f} ms reference ({speedup:.1f}x)"
     )
     bench_json(
-        "BENCH_5.json",
         "merge-kernel",
         tuples=MERGE_TUPLES,
         distinct_keys=MERGE_DISTINCT_KEYS,
@@ -134,7 +133,6 @@ def test_bench_partition_kernel(bench_summary, bench_json, best_seconds):
         f"{reference_s * 1e3:.1f} ms reference ({speedup:.1f}x)"
     )
     bench_json(
-        "BENCH_5.json",
         "partition-kernel",
         tuples=2 * PARTITION_TUPLES,
         bits_per_pass=PARTITION_CONFIG.bits_per_pass,
@@ -179,7 +177,6 @@ def test_bench_executor_replay(bench_summary, bench_json, best_seconds, bench_tu
         f"{cold_s * 1e3:.0f} ms cold ({speedup:.1f}x)"
     )
     bench_json(
-        "BENCH_5.json",
         "executor-replay",
         splits=30,
         warm_ms=round(warm_s * 1e3, 3),
@@ -196,5 +193,5 @@ def test_bench_experiment_regeneration(bench_summary, bench_json, best_seconds):
 
     elapsed_s = best_seconds(lambda: run_headline(50_000), repeats=2)
     bench_summary(f"experiment regen: headline(50k tuples) in {elapsed_s:.2f} s")
-    bench_json("BENCH_5.json", "experiment-regen", headline_50k_s=round(elapsed_s, 3))
+    bench_json("experiment-regen", headline_50k_s=round(elapsed_s, 3))
     assert elapsed_s > 0.0

@@ -119,7 +119,6 @@ def test_bench_mixed_service_vs_scalar_gate(
         f"scalar per-request reference ({speedup:.1f}x)"
     )
     bench_json(
-        "BENCH_5.json",
         "mixed-service",
         requests=N_REQUESTS,
         fingerprints=N_SERIES,

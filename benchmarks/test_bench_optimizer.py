@@ -78,7 +78,6 @@ def test_bench_pl_optimization_batched_speedup(benchmark, bench_summary, bench_j
                   f"{batched.stats['engine_yields']} engine calls, "
                   f"{batched.evaluations} rows)")
     bench_json(
-        "BENCH_5.json",
         "pl-optimization",
         batch_ms=round(batch_s * 1e3, 3),
         scalar_ms=round(scalar_s * 1e3, 3),

@@ -21,7 +21,7 @@ serial loop.  The gates here:
   budget headroom (recorded, not gated: the invariants themselves are
   pinned by ``tests/test_parallel_join.py``).
 
-Every gate records its measured numbers in ``BENCH_8.json`` (uploaded as a
+Every gate records its measured numbers in ``BENCH.json`` (uploaded as a
 CI artifact) besides the human-readable summary line.
 """
 
@@ -98,7 +98,6 @@ def test_bench_parallel_pair_speedup(bench_summary, bench_json, best_seconds):
         f"(gate >= {GATE_SPEEDUP}x)"
     )
     bench_json(
-        "BENCH_8.json",
         "parallel-pairs",
         serial_s=serial_s,
         parallel_s=pooled_s,
@@ -142,7 +141,6 @@ def test_bench_fine_grained_parallel_recorded(bench_summary, bench_json, best_se
         f"-> {speedup:.2f}x (recorded, not gated)"
     )
     bench_json(
-        "BENCH_8.json",
         "parallel-pairs-fine",
         serial_s=serial_s,
         parallel_s=pooled_s,
@@ -192,7 +190,6 @@ def test_bench_robust_external_join(bench_summary, bench_json):
         f"budget headroom {headroom:.0f} B"
     )
     bench_json(
-        "BENCH_8.json",
         "robust-external",
         buffer_bytes=buffer_bytes,
         n_super_partitions=run.n_super_partitions,

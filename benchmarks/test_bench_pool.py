@@ -15,7 +15,7 @@ forked workers:
 * **bit-identical serving** — every plan served by any pool size equals the
   direct library ``plan_many`` answer byte for byte.
 
-Results land in ``BENCH_7.json`` (uploaded as a CI artifact).
+Results land in ``BENCH.json`` (uploaded as a CI artifact).
 """
 
 from __future__ import annotations
@@ -211,7 +211,6 @@ def test_bench_pool_speedup_gate(bench_summary, bench_json):
         f"with 1 ({speedup:.2f}x on {cpus} CPUs)"
     )
     bench_json(
-        "BENCH_7.json",
         "pool-speedup",
         clients=N_CLIENTS,
         requests=N_REQUESTS,
@@ -224,7 +223,7 @@ def test_bench_pool_speedup_gate(bench_summary, bench_json):
     if threshold is None:
         pytest.skip(
             f"pool speedup gate needs >={GATE_WORKERS} CPUs (this machine has "
-            f"{cpus}); measured {speedup:.2f}x and recorded it in BENCH_7.json"
+            f"{cpus}); measured {speedup:.2f}x and recorded it in BENCH.json"
         )
     assert speedup >= threshold, (
         f"--workers 4 must be >={threshold}x faster than --workers 1 on "
@@ -281,7 +280,6 @@ def test_bench_pool_warm_restart_gate(bench_summary, bench_json):
         f"({hit_rate:.0%} hit rate, {cache.store_hits} from the store)"
     )
     bench_json(
-        "BENCH_7.json",
         "warm-restart-hit-rate",
         lookups=lookups,
         hits=cache.hits,

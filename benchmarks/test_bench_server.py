@@ -166,7 +166,6 @@ def test_bench_server_micro_batching_gate(bench_summary, bench_json):
         f"vs {naive_s * 1e3:.1f} ms naive one-per-call ({speedup:.1f}x)"
     )
     bench_json(
-        "BENCH_5.json",
         "server-micro-batching",
         clients=N_CLIENTS,
         requests=N_REQUESTS,

@@ -91,7 +91,6 @@ def test_bench_service_throughput_gate(benchmark, bench_summary, bench_json, bes
         f"vs {sequential_s * 1e3:.1f} ms sequential ({speedup:.1f}x)"
     )
     bench_json(
-        "BENCH_5.json",
         "service-throughput",
         requests=N_REQUESTS,
         service_ms=round(service_s * 1e3, 3),

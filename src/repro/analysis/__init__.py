@@ -1,6 +1,6 @@
 """``repro lint``: AST-based invariant analysis for the repro codebase.
 
-Eight codebase-specific checkers guard the conventions the kernels and the
+Five codebase-specific checkers guard the conventions the kernels and the
 serving tier rely on (see ``docs/static-analysis.md``):
 
 ========================  ==================================================
@@ -10,18 +10,14 @@ serving tier rely on (see ``docs/static-analysis.md``):
 ``kernel-parity``         every reference toggle has an explicit parity test
 ``numpy-hygiene``         ``# repro: kernel`` modules stay vectorized/narrow
 ``async-blocking``        no blocking calls inside ``async def`` bodies
-``wire-precision``        floats cross ``protocol.py`` bit-exact, unrounded
 ``fork-safety``           process-global resources crossing a fork boundary
                           have an ``os.register_at_fork`` re-init path
-``lock-order``            the static lock-acquisition graph is acyclic
-``pool-payload``          process-pool payloads are module-level callables
-                          plus picklable-by-construction values
 ========================  ==================================================
 
-The last three are *whole-program* passes built on the repo graph
+``fork-safety`` is a *whole-program* pass built on the repo graph
 (:mod:`repro.analysis.graph`, cached on the
-:class:`~repro.analysis.core.Project`); the runtime complement of
-``lock-order`` lives in :mod:`repro.locking` behind
+:class:`~repro.analysis.core.Project`).  Lock ordering is checked at run
+time instead, by the sanitizer in :mod:`repro.locking` behind
 ``REPRO_LOCK_SANITIZER=1``.
 
 Importing this package registers all checkers; :mod:`repro.analysis.runner`
@@ -37,11 +33,7 @@ from . import lock_discipline as _lock_discipline  # noqa: F401
 from . import kernel_parity as _kernel_parity  # noqa: F401
 from . import numpy_hygiene as _numpy_hygiene  # noqa: F401
 from . import async_blocking as _async_blocking  # noqa: F401
-from . import wire_precision as _wire_precision  # noqa: F401
 from . import fork_safety as _fork_safety  # noqa: F401
-from . import lock_order as _lock_order  # noqa: F401
-from . import pool_payload as _pool_payload  # noqa: F401
-from . import error_taxonomy as _error_taxonomy  # noqa: F401
 
 from .runner import (
     LintConfigError,

@@ -3,8 +3,8 @@
 Five PRs of vectorized kernels and a concurrent serving tier left the
 repro's correctness resting on *conventions*: every kernel keeps a
 bit-matched scalar reference behind a toggle, every shared-cache attribute
-is only touched under its lock, every float crossing the wire serialises at
-full precision.  This package checks those conventions statically.
+is only touched under its lock.  This package checks those conventions
+statically.
 
 The pieces:
 
@@ -40,7 +40,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from .graph import ModuleGraph
@@ -285,22 +285,3 @@ def iter_methods(
     for node in class_def.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node
-
-
-def walk_skipping(node: ast.AST, skip: tuple[type, ...]) -> Iterator[ast.AST]:
-    """Like :func:`ast.walk` but does not descend into ``skip`` node types."""
-    stack: list[ast.AST] = list(ast.iter_child_nodes(node))
-    while stack:
-        child = stack.pop()
-        if isinstance(child, skip):
-            continue
-        yield child
-        stack.extend(ast.iter_child_nodes(child))
-
-
-def call_keywords(node: ast.Call) -> dict[str, ast.expr]:
-    return {kw.arg: kw.value for kw in node.keywords if kw.arg is not None}
-
-
-def iterate_sources(files: Iterable[SourceFile]) -> Iterator[SourceFile]:
-    yield from files

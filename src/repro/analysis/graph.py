@@ -1,13 +1,11 @@
 """Repo-graph phase: module identity, imports, and symbol resolution.
 
 ISSUE 6's checkers were either per-file or did dumb name matching across
-the project.  The ISSUE 9 passes (``fork-safety``, ``lock-order``,
-``pool-payload``) need real whole-program structure: which module a file
-*is*, which modules it (transitively) imports, and what a dotted name used
-in one module resolves to in another.  :class:`ModuleGraph` computes all of
-that once per lint run — :meth:`repro.analysis.core.Project.graph` caches
-it — so each cross-file pass starts from the same resolved picture instead
-of re-deriving its own.
+the project.  The ``fork-safety`` pass needs real whole-program structure:
+which module a file *is*, which modules it (transitively) imports, and what
+a dotted name used in one module resolves to in another.
+:class:`ModuleGraph` computes all of that once per lint run —
+:meth:`repro.analysis.core.Project.graph` caches it.
 
 Module naming: a file's dotted module name is its lint-relative path with a
 leading ``src/`` stripped, ``/`` replaced by ``.``, and ``__init__``
@@ -29,7 +27,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator
 
-from .core import SourceFile, dotted_name
+from .core import SourceFile
 
 __all__ = ["ModuleGraph", "ModuleInfo", "module_name_for"]
 
@@ -226,7 +224,3 @@ class ModuleGraph:
 
     def iter_modules(self) -> Iterator[ModuleInfo]:
         yield from self.modules.values()
-
-
-# Re-exported so graph-based checkers share one dotted-name helper.
-_ = dotted_name

@@ -40,11 +40,11 @@ Conventions the checker understands (and that the codebase follows):
 
 ISSUE 9 adds a second, simpler rule: **raw lock construction**.  Every
 lock must be created through :func:`repro.locking.make_lock` so it carries
-a name — the node id the static ``lock-order`` pass and the runtime
-sanitizer file it under.  A direct ``threading.Lock()`` / ``RLock()`` /
-``Condition`` / ``Semaphore`` call anywhere outside the module that
-*defines* ``make_lock`` is a finding: that lock would be invisible to the
-whole-program analysis.
+a name — the node id the runtime lock-order sanitizer files it under.  A
+direct ``threading.Lock()`` / ``RLock()`` / ``Condition`` / ``Semaphore``
+call anywhere outside the module that *defines* ``make_lock`` is a
+finding: the sanitizer could never wrap that lock, so its orderings would
+go unchecked.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from .core import (
     Checker,
     Finding,
     SourceFile,
-    call_keywords,
     is_self_attribute,
     iter_methods,
     register,
@@ -259,8 +258,8 @@ class LockDisciplineChecker(Checker):
                                 child,
                                 f"raw `threading.{raw}()` construction; use "
                                 f"`make_lock(name)` from repro.locking so the "
-                                f"lock-order pass and the runtime sanitizer "
-                                f"see a named lock",
+                                f"runtime lock-order sanitizer sees a named "
+                                f"lock",
                                 key_context=f"raw-lock:{scope or '<module>'}",
                             )
                         )
@@ -339,7 +338,3 @@ class LockDisciplineChecker(Checker):
                 if base in classes:
                     stack.append(classes[base])
         return out
-
-
-# Re-exported for the fixture tests' direct use.
-_ = call_keywords

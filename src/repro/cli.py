@@ -62,6 +62,17 @@ def _scheme_arg(value: str) -> Scheme:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _tuples_arg(value: str) -> int:
+    """argparse ``type=`` for ``--tuples``: a negative size is a usage error."""
+    try:
+        tuples = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if tuples < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {tuples}")
+    return tuples
+
+
 def _format_result(result: ExperimentResult, fmt: str) -> str:
     if fmt == "markdown":
         return result.to_markdown()
@@ -446,13 +457,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub_run = subparsers.add_parser("run", help="run one experiment and print its rows")
     sub_run.add_argument("experiment", help="experiment name (see 'list')")
-    sub_run.add_argument("--tuples", type=int, default=None,
+    sub_run.add_argument("--tuples", type=_tuples_arg, default=None,
                          help="build-relation size (default: the runner's default)")
     sub_run.add_argument("--format", choices=("text", "markdown"), default="text")
     sub_run.set_defaults(func=cmd_run)
 
     sub_report = subparsers.add_parser("report", help="run every experiment into one report")
-    sub_report.add_argument("--tuples", type=int, default=None)
+    sub_report.add_argument("--tuples", type=_tuples_arg, default=None)
     sub_report.add_argument("--output", default=None, help="write markdown to this file")
     sub_report.add_argument("--only", nargs="*", default=None,
                             help="restrict to these experiment names")
@@ -462,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub_join.add_argument("--algorithm", choices=("SHJ", "PHJ"), default="PHJ")
     sub_join.add_argument("--scheme", type=_scheme_arg, default="PL",
                           help="CPU-only, GPU-only, OL, DD or PL (default PL)")
-    sub_join.add_argument("--tuples", type=int, default=200_000)
+    sub_join.add_argument("--tuples", type=_tuples_arg, default=200_000)
     sub_join.add_argument("--skew", choices=("uniform", "low-skew", "high-skew"),
                           default="uniform")
     sub_join.add_argument("--architecture", choices=("coupled", "discrete"),

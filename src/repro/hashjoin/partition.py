@@ -555,6 +555,13 @@ class PartitionedHashJoin:
             )
             if len(build_part) or len(probe_part)
         ]
+        if not pairs:
+            # Both inputs are empty: one empty pair still yields build and
+            # probe series that carry every step, at zero tuples.
+            (build_part, build_hashes), (probe_part, probe_hashes) = (
+                build_parts[0], probe_parts[0]
+            )
+            pairs = [(build_part, probe_part, build_hashes, probe_hashes)]
 
         if self.parallel and len(pairs) > 1:
             from .parallel import run_fine_pairs

@@ -3,21 +3,18 @@
 ``make_lock`` started life (ISSUE 6) as the one idiom through which every
 lock in the codebase is created, so the ``lock-discipline`` checker could
 recognise lock-owning classes.  ISSUE 9 grows it into the anchor of the
-whole-program concurrency analysis:
+lock-order check:
 
 * every ``make_lock(name)`` call registers its **name** — the stable node id
-  the static ``lock-order`` pass (:mod:`repro.analysis.lock_order`) uses for
-  its acquisition graph, and the id the runtime sanitizer reports in
-  violation messages.  Raw ``threading.Lock()`` construction outside this
-  module is now a ``lock-discipline`` finding, so the lock population the
-  static and dynamic halves see is complete.
+  of the runtime sanitizer's order graph and the id it reports in violation
+  messages.  Raw ``threading.Lock()`` construction outside this module is a
+  ``lock-discipline`` finding, so the sanitizer sees every lock.
 * with ``REPRO_LOCK_SANITIZER=1`` in the environment, ``make_lock`` returns
   a :class:`SanitizedLock` wrapper that records per-thread acquisition
   stacks and a process-global order graph.  Acquiring ``B`` while holding
   ``A`` records the edge ``A -> B``; if the inverse edge was ever observed
   (by any thread), :class:`LockOrderViolation` is raised with both witness
-  sites — the dynamic complement of the static cycle check, run by the CI
-  ``sanitizer`` job over the service and parallel-join test subset.
+  sites.  The CI ``sanitizer`` job runs the whole test suite this way.
 
 Fork safety: the registry/order guards are process-global locks, so this
 module registers an ``os.register_at_fork`` hook replacing them with fresh
@@ -58,8 +55,7 @@ SANITIZER_ENV = "REPRO_LOCK_SANITIZER"
 # instrument its own bookkeeping (instrumented internals would recurse and
 # would pollute the order graph with implementation edges).
 _REGISTRY_GUARD = threading.Lock()
-#: Creation count per lock name — the registry the static lock-order pass
-#: is seeded from and tests introspect.
+#: Creation count per lock name, for tests to introspect.
 _REGISTRY: dict[str, int] = {}
 
 _ORDER_GUARD = threading.Lock()
@@ -198,10 +194,10 @@ class SanitizedLock:
 def make_lock(name: str = "", *, reentrant: bool = False) -> ContextManager[bool]:
     """A named ``threading`` lock; reentrant when the owner re-enters its API.
 
-    ``name`` is the stable node id under which the static ``lock-order``
-    pass and the runtime sanitizer file this lock; an empty name falls back
-    to the caller's ``file:line`` so anonymous locks still get a stable,
-    distinct id.  Under ``REPRO_LOCK_SANITIZER=1`` the returned object is a
+    ``name`` is the stable node id under which the runtime sanitizer files
+    this lock; an empty name falls back to the caller's ``file:line`` so
+    anonymous locks still get a stable, distinct id.  Under
+    ``REPRO_LOCK_SANITIZER=1`` the returned object is a
     :class:`SanitizedLock`; otherwise it is the raw ``threading`` lock with
     zero overhead.
     """

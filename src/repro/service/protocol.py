@@ -102,24 +102,14 @@ ERROR_SHUTDOWN = "server-shutdown"  #: the server closed with work pending
 ERROR_INTERNAL = "internal-error"  #: the evaluation itself raised
 ERROR_WORKER_LOST = "worker-lost"  #: the worker serving the connection died mid-request
 
-ERROR_CODES = (
-    ERROR_INVALID,
-    ERROR_UNSUPPORTED_VERSION,
-    ERROR_DEADLINE,
-    ERROR_ADMISSION,
-    ERROR_SHUTDOWN,
-    ERROR_INTERNAL,
-    ERROR_WORKER_LOST,
-)
-
 #: The error-code table: every code this build can emit, classified by
 #: whether a client may safely retry the request.  Plan requests are pure
 #: computation (idempotent by construction — same request, same plan,
 #: bit-identically), so retryability is purely about whether the *condition*
 #: is transient: a dead worker, a drained token bucket or a shutting-down
 #: server will heal; a malformed request or an evaluation bug will not.
-#: The ``error-taxonomy`` lint checker enforces that every code constructed
-#: in ``service/`` is registered here with an explicit classification.
+#: :meth:`ErrorReply.envelope` refuses to put a code missing from this
+#: table on the wire.
 ERROR_TAXONOMY: dict[str, bool] = {
     ERROR_INVALID: False,
     ERROR_UNSUPPORTED_VERSION: False,
@@ -129,6 +119,8 @@ ERROR_TAXONOMY: dict[str, bool] = {
     ERROR_INTERNAL: False,
     ERROR_WORKER_LOST: True,
 }
+
+ERROR_CODES = tuple(ERROR_TAXONOMY)
 
 
 def is_retryable(code: str) -> bool:
@@ -391,10 +383,21 @@ class ErrorReply:
         return is_retryable(self.code)
 
     def envelope(self, seq: int | None = None, version: int = PROTOCOL_VERSION) -> Envelope:
+        """The reply as an ``error`` envelope.
+
+        Raises :class:`ValueError` for a code missing from
+        :data:`ERROR_TAXONOMY`: a server must never send a code its clients
+        cannot classify.
+        """
+        retryable = ERROR_TAXONOMY.get(self.code)
+        if retryable is None:
+            raise ValueError(
+                f"error code {self.code!r} is not registered in ERROR_TAXONOMY"
+            )
         payload: dict[str, Any] = {
             "code": self.code,
             "message": self.message,
-            "retryable": self.retryable,
+            "retryable": retryable,
         }
         if self.request_id:
             payload["id"] = self.request_id

@@ -415,25 +415,28 @@ class PlanServer:
         self, submit: PlanSubmit, seq: int | None, client_id: str, reply: Any
     ) -> None:
         try:
-            result = await self.scheduler.submit(
-                submit.request, client_id=client_id, timeout_s=submit.timeout_s
-            )
-        except SchedulerError as exc:
-            envelope = ErrorReply(
-                code=exc.code,
-                message=str(exc),
-                request_id=submit.request.request_id,
-            ).envelope(seq=seq)
+            try:
+                result = await self.scheduler.submit(
+                    submit.request, client_id=client_id, timeout_s=submit.timeout_s
+                )
+            except SchedulerError as exc:
+                envelope = ErrorReply(
+                    code=exc.code,
+                    message=str(exc),
+                    request_id=submit.request.request_id,
+                ).envelope(seq=seq)
+            else:
+                envelope = result.envelope(seq=seq)
         except asyncio.CancelledError:
             raise
         except Exception as exc:  # noqa: BLE001 - surfaced as structured error
+            # Also catches the ValueError of an error code missing from
+            # ERROR_TAXONOMY: the client gets an answer, never a hang.
             envelope = ErrorReply(
                 code=ERROR_INTERNAL,
                 message=f"unexpected serving failure: {exc}",
                 request_id=submit.request.request_id,
             ).envelope(seq=seq)
-        else:
-            envelope = result.envelope(seq=seq)
         try:
             await reply(envelope)
         except (ConnectionError, OSError):

@@ -7,7 +7,7 @@ Expected findings:
     ``self.value`` outside the lock.
   * Both ``__init__`` methods construct raw ``threading.Lock()`` instead of
     ``make_lock(name)`` (ISSUE 9 rule: unnamed locks are invisible to the
-    lock-order pass and the runtime sanitizer).
+    runtime lock-order sanitizer).
 """
 
 import threading

@@ -75,6 +75,20 @@ class TestCommands:
         assert "--scheme" in err and "'BOGUS'" in err
         assert "Traceback" not in err
 
+    def test_join_empty_relations(self, capsys):
+        assert main(["join", "--tuples", "0"]) == 0
+        assert "matches      : 0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["join", "run fig04", "report"])
+    @pytest.mark.parametrize("tuples", ["-5", "many"])
+    def test_bad_tuples_is_a_usage_error(self, capsys, command, tuples):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command.split(), "--tuples", tuples])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--tuples" in err and "usage:" in err
+        assert "Traceback" not in err
+
     def test_report_subset_to_file(self, tmp_path, capsys):
         output = tmp_path / "report.md"
         assert main(["report", "--tuples", "6000", "--only", "table1", "fig04",

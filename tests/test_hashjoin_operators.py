@@ -195,3 +195,18 @@ class TestCoarseGrainedPHJ:
         assert ws is not None
         assert ws.shared_between_devices is False
         assert run.total_table_bytes > 0
+
+
+@pytest.mark.parametrize(
+    "operator", [SimpleHashJoin, PartitionedHashJoin, CoarseGrainedPHJ]
+)
+def test_empty_inputs_join_to_nothing(operator):
+    run = operator().run(Relation.empty("R"), Relation.empty("S"))
+    assert run.result.match_count == 0
+
+
+def test_empty_phj_series_keep_every_step():
+    run = PartitionedHashJoin().run(Relation.empty("R"), Relation.empty("S"))
+    assert run.build_series.step_names == [s.name for s in BUILD_STEPS]
+    assert run.probe_series.step_names == [s.name for s in PROBE_STEPS]
+    assert run.build_series.n_tuples == run.probe_series.n_tuples == 0

@@ -1,9 +1,9 @@
 """Tests for named locks and the runtime lock-order sanitizer (ISSUE 9).
 
-The static ``lock-order`` pass and the sanitizer share one node namespace:
-``make_lock(name)``.  These tests pin the registry, the off-by-default
-behaviour, and the sanitizer's inversion/self-deadlock detection — the
-dynamic half the CI ``sanitizer`` job runs the service tests under.
+The sanitizer files every lock under its ``make_lock(name)``.  These tests
+pin the registry, the off-by-default behaviour, the sanitizer's
+inversion/self-deadlock detection, and the real lock nesting it must see —
+the CI ``sanitizer`` job runs the whole test suite with it armed.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ import threading
 
 import pytest
 
+from repro.costmodel import StepCost
+from repro.costmodel.cachestore import EstimateCacheStore, PersistentEstimateCache
 from repro.locking import (
     SANITIZER_ENV,
     LockOrderViolation,
@@ -148,3 +150,25 @@ class TestSanitizer:
             with second:
                 pass
         assert ("test-same-name", "test-same-name") not in lock_order_edges()
+
+
+class TestCacheStoreNesting:
+    def test_persistent_cache_miss_orders_cache_before_store(
+        self, sanitizer, tmp_path
+    ):
+        # The repo's real lock nesting: a cache miss holds estimate-cache
+        # while it reads (cachestore-db) and queues (cachestore-queue) store
+        # rows, three calls below the lock.
+        store = EstimateCacheStore(tmp_path / "cache.db")
+        cache = PersistentEstimateCache(store)
+        steps = (StepCost("s0", 1000, cpu_unit_s=1e-8, gpu_unit_s=2e-8),)
+        try:
+            cache.totals(steps, [[0.5]])
+            edges = lock_order_edges()
+            assert ("estimate-cache", "cachestore-db") in edges
+            assert ("estimate-cache", "cachestore-queue") in edges
+            with store._db_lock:
+                with pytest.raises(LockOrderViolation, match="estimate-cache"):
+                    cache.totals(steps, [[0.25]])
+        finally:
+            store.close()

@@ -14,6 +14,8 @@ re-partitioning and role reversal under adversarial skew.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -47,6 +49,7 @@ from repro.hashjoin.parallel import (
     shared_pair_pool,
     split_balanced,
 )
+from repro.locking import make_lock
 
 SETTINGS = settings(
     max_examples=12,
@@ -169,9 +172,38 @@ class TestPairPool:
         finally:
             pool.close()
 
+    @pytest.mark.parametrize("kind", ["lambda", "nested-def", "bound-method"])
+    def test_unpicklable_worker_fails_at_dispatch(self, kind):
+        # Every chunk's callable is pickled, so only a module-level def can
+        # be a worker; anything else fails on the first map, not in a later
+        # run, and is not mistaken for a broken pool.
+        def nested(x: int) -> int:
+            return x
+
+        fn = {
+            "lambda": lambda x: x,
+            "nested-def": nested,
+            "bound-method": _LockHolder().work,
+        }[kind]
+        pool = PairPool(n_workers=2)
+        try:
+            with pytest.raises((pickle.PicklingError, AttributeError, TypeError)):
+                pool.map(fn, [1, 2])
+            assert pool.pool_breaks == 0
+        finally:
+            pool.close()
+
 
 def _square(x: int) -> int:
     return x * x
+
+
+class _LockHolder:
+    def __init__(self) -> None:
+        self._lock = make_lock("test-pair-pool-holder")
+
+    def work(self, x: int) -> int:
+        return x
 
 
 def make_pairs(seed: int, n_pairs: int, tuples_per_side: int):

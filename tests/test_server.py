@@ -48,6 +48,7 @@ from repro.service import (
     clear_stale_unix_socket,
     connect_plan_client,
 )
+from repro.service import protocol
 from repro.service.protocol import (
     KIND_ERROR,
     KIND_HELLO,
@@ -181,14 +182,16 @@ class TestWireFidelity:
         assert clone.request_id == response.request_id
         assert clone.evaluations == response.evaluations
 
+    # The scalar fields below use values with no short decimal form, so a
+    # rounding anywhere on the wire path breaks the ``==`` comparisons.
     def test_result_envelope_round_trip(self):
         steps = random_steps(np.random.default_rng(4), 3)
         response = fresh_service().plan(PlanRequest(steps=steps, scheme="DD"))
-        result = PlanResult(response=response, queued_s=0.25, batch_size=8)
+        result = PlanResult(response=response, queued_s=0.1 + 0.2, batch_size=8)
         clone = PlanResult.from_envelope(
             Envelope.from_json(result.envelope(seq=3).to_json())
         )
-        assert clone.queued_s == 0.25
+        assert clone.queued_s == result.queued_s
         assert clone.batch_size == 8
         assert clone.response.ratios == response.ratios
         assert clone.response.total_s == response.total_s
@@ -196,14 +199,16 @@ class TestWireFidelity:
     def test_submit_envelope_round_trip(self):
         steps = random_steps(np.random.default_rng(5), 3)
         submit = PlanSubmit(
-            request=PlanRequest(steps=steps, scheme="OL", request_id="s1"),
-            timeout_s=0.5,
+            request=PlanRequest(
+                steps=steps, scheme="OL", delta=0.1 + 0.2, request_id="s1"
+            ),
+            timeout_s=1 / 3,
         )
         clone = PlanSubmit.from_envelope(
             Envelope.from_json(submit.envelope(seq=1).to_json())
         )
         assert clone.request == submit.request
-        assert clone.timeout_s == 0.5
+        assert clone.timeout_s == submit.timeout_s
 
     def test_submit_rejects_bad_payloads(self):
         steps = random_steps(np.random.default_rng(6), 2)
@@ -224,7 +229,7 @@ class TestWireFidelity:
             code=ERROR_DEADLINE,
             message="too slow",
             request_id="q1",
-            detail={"queued_s": 1.5},
+            detail={"queued_s": 1 / 3},
         )
         clone = ErrorReply.from_envelope(
             Envelope.from_json(error.envelope(seq=9).to_json())
@@ -250,6 +255,28 @@ class TestWireFidelity:
                 PlanResult.from_envelope(
                     Envelope(kind=KIND_PLAN_RESULT, payload=payload)
                 )
+
+
+class TestErrorTaxonomy:
+    def test_every_error_constant_is_classified(self):
+        codes = {
+            value
+            for name, value in vars(protocol).items()
+            if name.startswith("ERROR_") and isinstance(value, str)
+        }
+        assert codes == set(protocol.ERROR_TAXONOMY)
+        assert all(type(flag) is bool for flag in protocol.ERROR_TAXONOMY.values())
+
+    def test_envelope_rejects_unregistered_code(self):
+        with pytest.raises(ValueError, match="made-up"):
+            ErrorReply(code="made-up", message="no such code").envelope()
+
+    def test_unknown_code_from_peer_parses_as_not_retryable(self):
+        reply = ErrorReply.from_envelope(
+            Envelope(kind=KIND_ERROR, payload={"code": "made-up"})
+        )
+        assert reply.code == "made-up"
+        assert not reply.retryable
 
 
 # ---------------------------------------------------------------------------
