@@ -1,6 +1,6 @@
 """Benchmark gates for the pre-fork serving tier (ISSUE 7 acceptance).
 
-Three properties, over real ``python -m repro serve`` subprocesses with
+Two properties, over real ``python -m repro serve`` subprocesses with
 forked workers:
 
 * **pool throughput** — 8 concurrent clients submitting 64 requests over 32
@@ -9,9 +9,6 @@ forked workers:
   cores, like the parallel-join gate — 4 workers contending for fewer cores
   measure the scheduler, not the pool; the measured numbers are recorded
   either way);
-* **warm restart** — a cache restarted against a store warmed by a forked
-  pool must answer >50% of the same workload from the store (cold-start hit
-  rate), with bit-identical totals;
 * **bit-identical serving** — every plan served by any pool size equals the
   direct library ``plan_many`` answer byte for byte.
 
@@ -34,13 +31,10 @@ import pytest
 
 import repro
 from repro.costmodel import StepCost
-from repro.costmodel.cachestore import PersistentEstimateCache
 from repro.service import (
     PlanRequest,
     PlanService,
-    PoolConfig,
     SharedEstimateCache,
-    build_worker_server,
     connect_plan_client,
 )
 
@@ -230,64 +224,3 @@ def test_bench_pool_speedup_gate(bench_summary, bench_json):
         f"{cpus} CPUs; measured {speedup:.2f}x"
     )
 
-
-def test_bench_pool_warm_restart_gate(bench_summary, bench_json):
-    """Acceptance: cold-start hit rate >50% after restart against a store
-    warmed by a forked 2-worker pool, with bit-identical answers."""
-    with tempfile.TemporaryDirectory(dir="/tmp") as tmp:
-        store_path = os.path.join(tmp, "cache.db")
-        sock_path = os.path.join(tmp, "warm.sock")
-
-        # Warm the store through a real forked pool, then drain it.
-        proc = _spawn_serve(
-            sock_path, "--workers", "2", "--cache-store", store_path
-        )
-        try:
-            _await_socket(proc, sock_path)
-            _, served = _drive_clients(sock_path, _requests())
-            proc.send_signal(signal.SIGTERM)
-            _, err = proc.communicate(timeout=30)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.communicate()
-        assert proc.returncode == 0, f"serve exited {proc.returncode}: {err}"
-        _assert_bit_identical(served, "warming pool")
-
-        # "Restart": a brand-new process-equivalent stack on the same store.
-        config = PoolConfig(workers=1, unix_path=sock_path,
-                            cache_store=store_path)
-        server, service = build_worker_server(config)
-        cache = service.cache
-        assert isinstance(cache, PersistentEstimateCache), (
-            "warmed store failed to open on restart"
-        )
-        restarted = service.plan_many(_requests())
-        lookups = cache.hits + cache.misses
-        hit_rate = cache.hits / lookups if lookups else 0.0
-        service.close()
-
-    direct = PlanService(cache=SharedEstimateCache()).plan_many(_requests())
-    by_id = {r.request_id: r for r in direct}
-    for response in restarted:
-        ref = by_id[response.request_id]
-        assert response.ratios == ref.ratios
-        assert response.total_s == ref.total_s
-
-    bench_summary(
-        f"persistent cache: restart against warmed store answered "
-        f"{cache.hits}/{lookups} lookups from cache "
-        f"({hit_rate:.0%} hit rate, {cache.store_hits} from the store)"
-    )
-    bench_json(
-        "warm-restart-hit-rate",
-        lookups=lookups,
-        hits=cache.hits,
-        store_hits=cache.store_hits,
-        hit_rate=round(hit_rate, 4),
-        threshold=0.5,
-    )
-    assert hit_rate > 0.5, (
-        f"cold start against a warmed store must answer >50% of lookups "
-        f"from cache; measured {hit_rate:.0%}"
-    )

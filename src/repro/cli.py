@@ -35,7 +35,6 @@ from .data.workload import JoinWorkload
 from .experiments import ALL_EXPERIMENTS, ExperimentResult
 from .hardware.machine import coupled_machine, discrete_machine
 from .service import (
-    PlanServer,
     PlanService,
     SharedEstimateCache,
     WorkloadError,
@@ -288,6 +287,7 @@ def _parse_weights(entries: Sequence[str]) -> dict[str, float]:
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import os
+    import shutil
     import tempfile
 
     from .service.pool import (
@@ -318,11 +318,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.workers < 1:
         print("--workers must be at least 1", file=sys.stderr)
         return 2
-    if args.shared_cache and args.cache_store:
-        print("--shared-cache and --cache-store are mutually exclusive "
-              "(the store already shares the cache across workers and "
-              "restarts)", file=sys.stderr)
-        return 2
     if args.fault_plan:
         from . import faults
 
@@ -343,23 +338,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
               + (f", seed {plan.seed}" if plan.seed is not None else ""),
               file=sys.stderr)
 
-    cache_store = args.cache_store
-    if args.workers > 1 and args.rate is not None and cache_store is None:
-        # Per-worker buckets would admit N*rate fleet-wide; shared admission
-        # needs shared state, so conjure a transient store for it.
-        cache_store = os.path.join(
-            tempfile.mkdtemp(prefix="repro-serve-"), "cache.db"
-        )
-        print(f"admission control across {args.workers} workers needs shared "
-              f"state; using transient cache store {cache_store}",
-              file=sys.stderr)
-
     config = PoolConfig(
         workers=args.workers,
         unix_path=args.unix or None,
         tcp_host=args.host,
         tcp_port=args.port or None,
-        cache_store=cache_store,
         window_s=args.window_ms / 1000.0,
         max_batch=args.max_batch,
         weights=weights,
@@ -374,6 +357,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"invalid serve configuration: {exc}", file=sys.stderr)
             return 2
+        transient = None
+        if args.rate is not None:
+            # Per-worker buckets would admit N*rate fleet-wide; the workers
+            # share one admission table in a transient database instead,
+            # removed when the pool stops.
+            transient = tempfile.mkdtemp(prefix="repro-serve-")
+            config.cache_store = os.path.join(transient, "admission.db")
+            print(f"admission control across {args.workers} workers needs "
+                  f"shared state; using transient admission store "
+                  f"{config.cache_store}", file=sys.stderr)
 
         def _announce(ready: WorkerPool) -> None:
             if ready.unix_path is not None:
@@ -388,23 +381,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
             pool.run_forever(on_ready=_announce)
         except KeyboardInterrupt:
             pass
+        finally:
+            if transient is not None:
+                shutil.rmtree(transient, ignore_errors=True)
         print("plan server stopped", file=sys.stderr)
         return 0
 
     try:
-        if args.shared_cache:
-            service = PlanService()  # the process-wide shared cache
-            server = PlanServer(
-                service=service,
-                window_s=config.window_s,
-                max_batch=config.max_batch,
-                weights=weights,
-                admission_rate=args.rate,
-                admission_burst=args.burst,
-                default_timeout_s=args.default_timeout,
-            )
-        else:
-            server, service = build_worker_server(config)
+        server, _ = build_worker_server(config)  # no cache_store: no store
     except ValueError as exc:
         print(f"invalid serve configuration: {exc}", file=sys.stderr)
         return 2
@@ -413,8 +397,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         loop = asyncio.get_running_loop()
         shutdown = asyncio.Event()
         # SIGTERM from a supervisor/container must drain exactly like ^C:
-        # structured shutdown errors for queued work, cache flushed, socket
-        # file unlinked — not an abrupt death mid-batch.
+        # structured shutdown errors for queued work and the socket file
+        # unlinked — not an abrupt death mid-batch.
         installed = install_stop_signals(loop, shutdown)
         if args.unix:
             await server.start_unix(args.unix)
@@ -433,7 +417,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             for signum in installed:
                 loop.remove_signal_handler(signum)
             await server.close()
-            service.close()
 
     try:
         asyncio.run(_serve())
@@ -538,11 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "serve in-process; N>1 runs a router that "
                                 "hands accepted connections to N forked "
                                 "workers)")
-    sub_serve.add_argument("--cache-store", default=None, metavar="PATH",
-                           help="SQLite WAL estimate-cache store shared by "
-                                "all workers and across restarts (warm "
-                                "start); omit for per-process in-memory "
-                                "caches")
     sub_serve.add_argument("--host", default="127.0.0.1",
                            help="TCP bind address (default 127.0.0.1)")
     sub_serve.add_argument("--port", type=int, default=0,
@@ -558,16 +536,14 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(repeatable; default weight 1)")
     sub_serve.add_argument("--rate", type=float, default=None,
                            help="token-bucket admission: sustained requests/s "
-                                "per client (default: unlimited)")
+                                "per client, shared by all workers "
+                                "(default: unlimited)")
     sub_serve.add_argument("--burst", type=float, default=None,
                            help="token-bucket burst capacity per client "
                                 "(default: equal to --rate)")
     sub_serve.add_argument("--default-timeout", type=float, default=None,
                            help="default per-request deadline in seconds for "
                                 "submissions that do not set their own")
-    sub_serve.add_argument("--shared-cache", action="store_true",
-                           help="use the process-wide estimate cache instead "
-                                "of a fresh one")
     sub_serve.add_argument("--fault-plan", default=None, metavar="PLAN",
                            help="staging drills: install a deterministic "
                                 "fault-injection plan (a JSON file path, or "

@@ -602,45 +602,6 @@ class EstimateCache:
             bucket[key] = (exact, total)
         return added
 
-    # ------------------------------------------------------------------
-    # Backing-store hooks (no-ops here).  A persistent subclass — see
-    # :class:`repro.costmodel.cachestore.PersistentEstimateCache` — overrides
-    # these to consult/feed a durable store on the miss path; the base class
-    # keeps the exact in-memory behaviour (and counters) it always had.
-    # ------------------------------------------------------------------
-    def _restore_totals(
-        self,
-        fingerprint: Fingerprint,
-        bucket: dict[bytes, tuple[bytes, float]],
-        keys: list[tuple[bytes, bytes]],
-        missing: list[int],
-        out: np.ndarray,
-        offset: int,
-    ) -> tuple[list[int], int]:
-        """Fill rows from a backing store; return (still missing, rows added)."""
-        return missing, 0
-
-    def _persist_totals(
-        self,
-        fingerprint: Fingerprint,
-        keys: list[tuple[bytes, bytes]],
-        rows: list[int],
-        totals: list[float],
-    ) -> None:
-        """Offer freshly computed rows to a backing store."""
-
-    def _restore_estimate(
-        self, fingerprint: Fingerprint, key: bytes, exact: bytes
-    ) -> "SeriesEstimate | None":
-        """A stored scalar estimate for the exact row, if the store has one."""
-        return None
-
-    def _persist_estimate(
-        self, fingerprint: Fingerprint, key: bytes, exact: bytes,
-        estimate: SeriesEstimate,
-    ) -> None:
-        """Offer a freshly computed scalar estimate to a backing store."""
-
     def totals(
         self, steps: Sequence[StepCost], ratio_matrix: ArrayLike
     ) -> np.ndarray:
@@ -653,15 +614,10 @@ class EstimateCache:
         missing = self._probe_totals(bucket, keys, out, 0)
         added = 0
         if missing:
-            missing, added = self._restore_totals(
-                fingerprint, bucket, keys, missing, out, 0
-            )
-        if missing:
             fresh = batch_totals(steps, matrix[missing], validate=False)
             for i, total in zip(missing, fresh.tolist()):
                 out[i] = total
-            added += self._store_totals(bucket, keys, missing, fresh.tolist())
-            self._persist_totals(fingerprint, keys, missing, fresh.tolist())
+            added = self._store_totals(bucket, keys, missing, fresh.tolist())
         if added:
             self._total_rows = self._evict(
                 self._totals, self._total_rows + added, self._estimate_rows
@@ -682,53 +638,36 @@ class EstimateCache:
         order.
         """
         prepared: list[
-            tuple[
-                Sequence[StepCost],
-                np.ndarray,
-                Fingerprint,
-                dict,
-                list[tuple[bytes, bytes]],
-            ]
+            tuple[Sequence[StepCost], np.ndarray, dict, list[tuple[bytes, bytes]]]
         ] = []
         total_rows = 0
         for steps, ratio_matrix in segments:
             matrix = as_ratio_matrix(ratio_matrix, len(steps))
-            fingerprint = steps_fingerprint(steps)
-            bucket = self._touch(self._totals, fingerprint)
-            prepared.append(
-                (steps, matrix, fingerprint, bucket, self._row_keys(matrix))
-            )
+            bucket = self._touch(self._totals, steps_fingerprint(steps))
+            prepared.append((steps, matrix, bucket, self._row_keys(matrix)))
             total_rows += matrix.shape[0]
 
         out = np.empty(total_rows, dtype=np.float64)
         missing_segments: list[tuple[Sequence[StepCost], np.ndarray]] = []
-        backfill: list[
-            tuple[Fingerprint, dict, list[tuple[bytes, bytes]], list[int], int]
-        ] = []
+        backfill: list[tuple[dict, list[tuple[bytes, bytes]], list[int], int]] = []
         added = 0
         offset = 0
-        for steps, matrix, fingerprint, bucket, keys in prepared:
+        for steps, matrix, bucket, keys in prepared:
             missing = self._probe_totals(bucket, keys, out, offset)
             if missing:
-                missing, restored = self._restore_totals(
-                    fingerprint, bucket, keys, missing, out, offset
-                )
-                added += restored
-            if missing:
                 missing_segments.append((steps, matrix[missing]))
-                backfill.append((fingerprint, bucket, keys, missing, offset))
+                backfill.append((bucket, keys, missing, offset))
             offset += matrix.shape[0]
 
         if missing_segments:
             fresh = batch_totals_mixed(missing_segments, validate=False)
             pos = 0
-            for fingerprint, bucket, keys, missing, offset in backfill:
+            for bucket, keys, missing, offset in backfill:
                 slice_totals = fresh[pos : pos + len(missing)].tolist()
                 pos += len(missing)
                 for i, total in zip(missing, slice_totals):
                     out[offset + i] = total
                 added += self._store_totals(bucket, keys, missing, slice_totals)
-                self._persist_totals(fingerprint, keys, missing, slice_totals)
         if added:
             self._total_rows = self._evict(
                 self._totals, self._total_rows + added, self._estimate_rows
@@ -750,20 +689,10 @@ class EstimateCache:
         if cached is not None and cached[0] == exact:
             self.hits += 1
             return cached[1].copy()
-        restored = self._restore_estimate(fingerprint, key, exact)
-        if restored is not None:
-            self.hits += 1
-            added = 0 if key in bucket else 1
-            bucket[key] = (exact, restored)
-            self._estimate_rows = self._evict(
-                self._estimates, self._estimate_rows + added, self._total_rows
-            )
-            return restored.copy()
         self.misses += 1
         estimate = estimate_series(steps, list(ratios))
         added = 0 if key in bucket else 1
         bucket[key] = (exact, estimate)
-        self._persist_estimate(fingerprint, key, exact, estimate)
         self._estimate_rows = self._evict(
             self._estimates, self._estimate_rows + added, self._total_rows
         )

@@ -22,12 +22,6 @@ from .batch import EstimateCache, estimate_series_batch, shared_estimate_cache
 #: Measurement callback: ratios -> measured (simulated) seconds.
 MeasureFn = Callable[[Sequence[float]], float]
 
-#: Optional batched measurement callback: all sample ratio vectors at once ->
-#: one measured time per vector, in order.  Lets executors that can amortise
-#: per-call setup (shared workload proxies, preallocated buffers) measure the
-#: whole study in one pass.
-MeasureBatchFn = Callable[[Sequence[Sequence[float]]], Sequence[float]]
-
 
 @dataclass
 class MonteCarloSample:
@@ -125,7 +119,6 @@ def run_monte_carlo(
     delta: float = 0.02,
     cache: EstimateCache | None = None,
     use_shared_cache: bool = True,
-    measure_batch: MeasureBatchFn | None = None,
 ) -> MonteCarloStudy:
     """Run the Figure 9 experiment.
 
@@ -137,10 +130,6 @@ def run_monte_carlo(
     process-wide :func:`shared_estimate_cache`, so repeated studies over the
     same calibrated steps reuse their rows; ``use_shared_cache=False``
     restores the uncached direct engine call.
-
-    ``measure_batch``, when given, measures every sample vector in one call
-    (the per-vector ``measure`` still times the chosen ratios); it must
-    return exactly one time per vector, in order.
     """
     vectors = sample_ratio_vectors(len(steps), n_samples, seed=seed, delta=delta)
     if cache is None and use_shared_cache:
@@ -149,15 +138,7 @@ def run_monte_carlo(
         estimated_totals = cache.totals(steps, vectors)
     else:
         estimated_totals = estimate_series_batch(steps, vectors).total_s
-    if measure_batch is not None:
-        measured_times = [float(t) for t in measure_batch(vectors)]
-        if len(measured_times) != len(vectors):
-            raise ValueError(
-                f"measure_batch returned {len(measured_times)} times for "
-                f"{len(vectors)} sample vectors"
-            )
-    else:
-        measured_times = [measure(ratios) for ratios in vectors]
+    measured_times = [measure(ratios) for ratios in vectors]
     samples = [
         MonteCarloSample(
             ratios=list(ratios), estimated_s=float(estimated), measured_s=measured

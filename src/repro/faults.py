@@ -1,9 +1,9 @@
 """Deterministic, seedable fault injection for the serving tier (ISSUE 10).
 
 The chaos suite needs failures that are *reproducible*: the same seed must
-kill the same worker after the same number of routed connections, fail the
-same cache-store transactions and break the same process-pool chunk, run
-after run.  This module is the single source of those failures:
+kill the same worker after the same number of routed connections, reset
+the same replies and break the same process-pool chunk, run after run.
+This module is the single source of those failures:
 
 * :class:`FaultSpec` — one scheduled fault: a *site* (a named hook threaded
   through the production code), an *action* (``raise`` an :class:`OSError`,
@@ -27,15 +27,15 @@ fault-free fast path:
     mechanics (``kill``, ``reset``).
 ``check(site, **ctx)``
     Raise :class:`FaultError` (an ``OSError``) if a ``raise`` spec fires —
-    the one-liner used by I/O sites such as ``cachestore.write``.
+    the one-liner used by sites such as ``worker.start``.
 ``latency(site, **ctx)``
     Sum of injected delays for this event; async callers sleep with
     ``asyncio.sleep``, never ``time.sleep``.
 
 Fork semantics: the plan itself is inherited by forked children (workers
-must see latency/IO specs installed before the fork), but match counters
-and the guard lock are reset in the child via ``os.register_at_fork`` so
-each process counts its own events from zero and no lock is inherited in a
+must see specs installed before the fork), but match counters and the
+guard lock are reset in the child via ``os.register_at_fork`` so each
+process counts its own events from zero and no lock is inherited in a
 possibly-held state.
 """
 
@@ -84,7 +84,6 @@ SITES = (
     "worker.start",  # worker serve loop: fires once at startup (crash-loop drills)
     "server.reply",  # per-connection writer: fires before each reply frame
     "scheduler.dispatch",  # micro-batch scheduler: fires per dispatched batch
-    "cachestore.write",  # cache store: fires per commit attempt (incl. retries)
     "parallel.chunk",  # pair pool: fires as each chunk payload is submitted
 )
 
@@ -250,17 +249,16 @@ class FaultPlan:
         max_faults: int = 4,
     ) -> "FaultPlan":
         """A seeded chaos schedule for the serving tier: worker kills,
-        mid-reply socket resets, transient cache-store I/O errors and
-        dispatch latency, with trigger points spread over roughly ``events``
-        request-scale events.  Same seed, same plan — the chaos suite's
-        determinism rests on this."""
+        mid-reply socket resets and dispatch latency, with trigger points
+        spread over roughly ``events`` request-scale events.  Same seed,
+        same plan — the chaos suite's determinism rests on this."""
         _require(workers >= 1, "workers must be >= 1")
         _require(events >= 1, "events must be >= 1")
         _require(max_faults >= 1, "max_faults must be >= 1")
         rng = random.Random(seed)
         faults: list[FaultSpec] = []
         for _ in range(rng.randint(1, max_faults)):
-            kind = rng.choice(("kill", "reset", "io", "latency"))
+            kind = rng.choice(("kill", "reset", "latency"))
             if kind == "kill":
                 faults.append(
                     FaultSpec(
@@ -276,15 +274,6 @@ class FaultPlan:
                         site="server.reply",
                         action="reset",
                         after=rng.randrange(events),
-                        count=rng.randint(1, 2),
-                    )
-                )
-            elif kind == "io":
-                faults.append(
-                    FaultSpec(
-                        site="cachestore.write",
-                        action="raise",
-                        after=rng.randrange(3),
                         count=rng.randint(1, 2),
                     )
                 )
@@ -304,7 +293,7 @@ class FaultPlan:
 class FaultInjector:
     """Arming state for one installed plan: a per-spec counter of matched
     events, advanced under a lock so concurrent sites (router thread, worker
-    event loops, flusher threads) see one deterministic global order per
+    event loops, pool threads) see one deterministic global order per
     site.  ``fired`` tallies armed events per site for assertions and the
     pool/bench counters."""
 

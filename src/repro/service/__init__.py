@@ -10,7 +10,9 @@ Two entry layers share one evaluation core:
   (``protocol``) over TCP/unix sockets; a ``MicroBatchScheduler`` coalesces
   requests across clients into single ``plan_many`` calls with weighted
   fair queuing, token-bucket admission control and per-request deadlines.
-  ``connect_plan_client`` is the matching asyncio client.
+  ``connect_plan_client`` is the matching asyncio client.  A pre-fork
+  ``WorkerPool`` shares one ``AdmissionStore`` so rate limits hold
+  fleet-wide.
 """
 
 from ..costmodel.batch import (
@@ -18,12 +20,7 @@ from ..costmodel.batch import (
     reset_shared_estimate_cache,
     shared_estimate_cache,
 )
-from ..costmodel.cachestore import (
-    CacheStoreError,
-    EstimateCacheStore,
-    PersistentEstimateCache,
-    open_persistent_cache,
-)
+from .admission import AdmissionStore
 from .api import (
     OPTIMIZE_SCHEMES,
     WHAT_IF,
@@ -66,7 +63,7 @@ from .server import (
 from .service import PlanService, dedup_tasks
 
 __all__ = [
-    "CacheStoreError",
+    "AdmissionStore",
     "ERROR_ADMISSION",
     "ERROR_CODES",
     "ERROR_DEADLINE",
@@ -78,11 +75,9 @@ __all__ = [
     "ERROR_WORKER_LOST",
     "Envelope",
     "ErrorReply",
-    "EstimateCacheStore",
     "MicroBatchScheduler",
     "OPTIMIZE_SCHEMES",
     "PROTOCOL_VERSION",
-    "PersistentEstimateCache",
     "PlanClient",
     "PlanRequest",
     "PlanResponse",
@@ -109,7 +104,6 @@ __all__ = [
     "dedup_tasks",
     "is_retryable",
     "load_workload",
-    "open_persistent_cache",
     "reset_shared_estimate_cache",
     "run_worker",
     "shared_estimate_cache",

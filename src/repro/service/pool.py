@@ -16,21 +16,18 @@ pre-fork architecture on top of the existing transport:
   worker that dies is reaped and respawned by the router on the next
   routing attempt, so the pool degrades by one connection, not permanently
   by one worker.
-* **shared state** makes the fleet behave like one server: with a
-  ``cache_store`` every worker opens the same SQLite WAL database through
-  :func:`~repro.costmodel.cachestore.open_persistent_cache` (cache hits
-  cross process boundaries and survive restarts), and admission control
-  debits the store's shared token buckets via the scheduler's
-  ``admission_controller`` hook — a client's rate limit holds fleet-wide,
-  not per worker.  Fair-queuing weights are replicated into every worker
-  from the same config, so relative service within any worker matches the
-  configured ratios.
+* **shared admission** makes the fleet behave like one server: with a
+  ``cache_store`` and an admission rate, every worker debits the same
+  SQLite token buckets (:class:`~repro.service.admission.AdmissionStore`)
+  via the scheduler's ``admission_controller`` hook — a client's rate limit
+  holds fleet-wide, not per worker.  Fair-queuing weights are replicated
+  into every worker from the same config, so relative service within any
+  worker matches the configured ratios.
 
 Shutdown is structured end to end: SIGTERM/SIGINT set the router's stop
 event; the router closes its listeners, half-closes every worker channel
 (the EOF is the worker's shutdown signal), and each worker drains — queued
-requests fail with ``server-shutdown`` errors, the persistent cache flushes
-its write-behind queue, and the process exits 0.
+requests fail with ``server-shutdown`` errors and the process exits 0.
 
 For tests the pool also runs with ``fork=False``: workers become daemon
 threads running the identical ``run_worker`` coroutine, and descriptors
@@ -42,17 +39,19 @@ production uses real forked processes.
 from __future__ import annotations
 
 import asyncio
+import functools
 import os
 import signal
 import socket
+import sqlite3
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .. import faults
-from ..costmodel.batch import EstimateCache, SharedEstimateCache
-from ..costmodel.cachestore import PersistentEstimateCache, open_persistent_cache
+from ..costmodel.batch import SharedEstimateCache
+from .admission import AdmissionStore
 from .scheduler import MicroBatchScheduler
 from .server import PlanServer, clear_stale_unix_socket
 from .service import PlanService
@@ -76,9 +75,9 @@ class PoolConfig:
     """Everything a worker needs to rebuild the serving stack post-fork.
 
     The scheduler knobs mirror :class:`MicroBatchScheduler`; ``cache_store``
-    is the path of the shared SQLite estimate-cache database (``None`` gives
-    every worker a private in-memory cache — fast, but hits stay
-    per-process and die with it).
+    is the path of the SQLite admission database every worker shares when
+    ``admission_rate`` is set (``None`` gives every worker its own
+    in-process token buckets, which admit ``workers × rate`` fleet-wide).
     """
 
     workers: int = 2
@@ -105,20 +104,17 @@ class PoolConfig:
     respawn_reset_s: float = 5.0
 
 
-def build_worker_server(config: PoolConfig) -> tuple[PlanServer, PlanService]:
+def build_worker_server(
+    config: PoolConfig,
+) -> tuple[PlanServer, AdmissionStore | None]:
     """One worker's serving stack: cache, service, scheduler, server.
 
-    With a ``cache_store`` the worker joins the shared persistent cache
-    (falling back to a cold in-memory cache if the database is corrupt) and,
-    when admission is configured, routes admission decisions through the
-    store's fleet-wide token buckets instead of in-process ones.
+    With an admission rate and a ``cache_store``, admission decisions debit
+    the store's fleet-wide token buckets, and the store is returned for the
+    caller to close after the server; a database that cannot be opened
+    (corrupt, unreadable) falls back to in-process buckets, which the
+    scheduler's ``shared_admission`` stat reports.
     """
-    cache: EstimateCache
-    if config.cache_store:
-        cache = open_persistent_cache(config.cache_store)
-    else:
-        cache = SharedEstimateCache()
-    service = PlanService(cache=cache)
     kwargs: dict[str, Any] = {
         "window_s": config.window_s,
         "max_batch": config.max_batch,
@@ -126,26 +122,27 @@ def build_worker_server(config: PoolConfig) -> tuple[PlanServer, PlanService]:
         "weights": dict(config.weights),
         "default_timeout_s": config.default_timeout_s,
     }
-    if config.admission_rate is not None and isinstance(
-        cache, PersistentEstimateCache
-    ):
-        store = cache.store
-        rate = config.admission_rate
-        burst = (
-            config.admission_burst
-            if config.admission_burst is not None
-            else config.admission_rate
-        )
-
-        def admit(client: str) -> bool:
-            return store.admission_acquire(client, rate, burst)
-
-        kwargs["admission_controller"] = admit
-    elif config.admission_rate is not None:
-        kwargs["admission_rate"] = config.admission_rate
-        kwargs["admission_burst"] = config.admission_burst
+    store: AdmissionStore | None = None
+    rate = config.admission_rate
+    if rate is not None:
+        if config.cache_store:
+            try:
+                store = AdmissionStore(config.cache_store)
+            except sqlite3.Error:
+                pass  # unusable database: in-process buckets below
+        if store is not None:
+            burst = config.admission_burst
+            kwargs["admission_controller"] = functools.partial(
+                store.admission_acquire,
+                rate=rate,
+                burst=burst if burst is not None else rate,
+            )
+        else:
+            kwargs["admission_rate"] = rate
+            kwargs["admission_burst"] = config.admission_burst
+    service = PlanService(cache=SharedEstimateCache())
     scheduler = MicroBatchScheduler(service, **kwargs)
-    return PlanServer(scheduler=scheduler), service
+    return PlanServer(scheduler=scheduler), store
 
 
 async def run_worker(
@@ -162,11 +159,10 @@ async def run_worker(
     channel (the router shut its end) or SIGTERM/SIGINT (when
     ``install_signals`` and running on the main thread) starts the drain:
     the server closes (queued work fails with structured ``server-shutdown``
-    errors) and the cache flushes to its backing store.  Returns the final
-    server stats.
+    errors).  Returns the final server stats.
     """
     faults.check("worker.start", worker=index)
-    server, service = build_worker_server(config)
+    server, store = build_worker_server(config)
     await server.scheduler.start()
     loop = asyncio.get_running_loop()
     stop = asyncio.Event()
@@ -207,7 +203,8 @@ async def run_worker(
         if adoptions:
             await asyncio.gather(*adoptions, return_exceptions=True)
         await server.close()
-        service.close()
+        if store is not None:
+            store.close()
         channel.close()
     return server.stats()
 
@@ -462,11 +459,10 @@ class WorkerPool:
         ``send_fds`` duplicates the descriptor into the worker at sendmsg
         time, so the router's copy is closed immediately either way.  A
         broken channel means a dead worker: the crash-loop breaker decides
-        whether it respawns now (first crash: restart-warm when a cache
-        store is configured) or sits out a doubling backoff (consecutive
-        crashes: the pool degrades to fewer live workers instead of
-        fork-spinning), and the connection tries the next slot; only a pool
-        with every worker unreachable drops it.
+        whether it respawns now (first crash) or sits out a doubling backoff
+        (consecutive crashes: the pool degrades to fewer live workers
+        instead of fork-spinning), and the connection tries the next slot;
+        only a pool with every worker unreachable drops it.
         """
         with conn:
             for _ in range(len(self._workers)):
@@ -513,7 +509,7 @@ class WorkerPool:
         The breaker: a worker that had been up at least ``respawn_reset_s``
         gets the benign interpretation (transient kill — respawn
         immediately, the pre-breaker behaviour).  Consecutive crashes mean
-        the worker cannot hold (unwritable cache store, bad config): each
+        the worker cannot hold (a crash at startup, bad config): each
         one doubles the slot's backoff from ``respawn_backoff_s`` up to
         ``respawn_backoff_cap_s``, and until it expires the slot routes
         nothing — bounded respawn work no matter how fast crashes arrive.
@@ -591,8 +587,8 @@ class WorkerPool:
     def _stop_workers(self, timeout_s: float = 10.0) -> None:
         """Half-close every channel (the workers' EOF), then reap/join.
 
-        Workers drain on EOF: in-flight batches finish, queued requests get
-        structured shutdown errors, persistent caches flush.  A forked
+        Workers drain on EOF: in-flight batches finish and queued requests
+        get structured shutdown errors.  A forked
         worker that ignores the EOF past the deadline is killed — shutdown
         must terminate even if a worker wedged.
         """

@@ -148,7 +148,7 @@ class MicroBatchScheduler:
     admission_controller:
         Externalised admission: a callable mapping a client id to an
         admit/reject decision, replacing the in-process token buckets.
-        The pre-fork worker pool injects the persistent store's shared
+        The pre-fork worker pool injects its admission store's shared
         bucket here so admission holds fleet-wide (every worker debits the
         same bucket), not per process.  It may block (e.g. on SQLite) —
         the scheduler calls it through the loop's thread-pool executor.

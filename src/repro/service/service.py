@@ -265,31 +265,6 @@ class PlanService:
         return optimize_scheme(task.scheme, task.steps, task.delta, evaluator=evaluator)
 
     # ------------------------------------------------------------------
-    def flush_cache(self) -> None:
-        """Push the cache's write-behind queue to its backing store, if any.
-
-        A plain in-memory cache has nothing to flush; a
-        :class:`~repro.costmodel.cachestore.PersistentEstimateCache` commits
-        its queued rows so a sibling worker (or a restarted process) can
-        answer from them.  No-op for caches without a ``flush``.
-        """
-        flush = getattr(self.cache, "flush", None)
-        if callable(flush):
-            flush()
-
-    def close(self) -> None:
-        """Release the cache's backing store (part of a worker's drain).
-
-        The serving tier calls this after the last batch of a shutdown so a
-        persistent cache flushes its write-behind queue and closes its
-        SQLite connection — the warm state the next boot restarts from.
-        Caches without a ``close`` (the default shared in-memory cache) are
-        left untouched; the process-wide cache must survive the service.
-        """
-        close = getattr(self.cache, "close", None)
-        if callable(close):
-            close()
-
     def stats(self) -> dict[str, Any]:
         """Service counters plus a consistent cache snapshot."""
         cache_stats = (

@@ -2,8 +2,7 @@
 
 Every test here runs a *deterministic* drill from ``repro.faults``: seeded
 random schedules against thread-mode pools, SIGKILLed forked workers behind
-``repro serve`` subprocesses, cache-store flushes failing mid-write-behind
-and process-pool workers dying mid-chunk.  The invariants are always the
+``repro serve`` subprocesses and process-pool workers dying mid-chunk.  The invariants are always the
 same three:
 
 * **exactly one reply per request** — retried requests are neither lost nor
@@ -32,7 +31,6 @@ import pytest
 
 import repro
 from repro import faults
-from repro.costmodel.cachestore import EstimateCacheStore
 from repro.faults import FaultPlan, FaultSpec
 from repro.hashjoin import PartitionedHashJoin
 from repro.hashjoin.parallel import shared_pair_pool
@@ -315,86 +313,6 @@ class TestForkedWorkerFailover:
                 proc.kill()
                 proc.communicate()
         assert proc.returncode == 0, f"serve exited {proc.returncode}: {err}"
-
-
-# ---------------------------------------------------------------------------
-# Cache store: write-behind flushes under injected I/O errors
-# ---------------------------------------------------------------------------
-class TestCacheStoreFlushFaults:
-    def rows(self, n: int):
-        return [(f"q{i}".encode(), f"x{i}".encode(), float(i)) for i in range(n)]
-
-    def test_transient_flush_faults_heal_without_losing_rows(self, tmp_path):
-        path = tmp_path / "cache.db"
-        plan = FaultPlan(
-            faults=(FaultSpec(site="cachestore.write", count=2, message="blip"),)
-        )
-        with faults.inject(plan):
-            with EstimateCacheStore(
-                path,
-                flush_interval_s=30.0,
-                write_retry_attempts=3,
-                write_retry_backoff_s=0.001,
-                write_retry_backoff_cap_s=0.01,
-            ) as store:
-                store.enqueue_totals(b"fp", self.rows(8))
-                assert store.flush() == 8
-                assert store.retried_writes == 2
-                assert store.failed_writes == 0
-                assert not store.dead
-        # The verified rows landed byte-exact despite the blips.
-        with EstimateCacheStore(path) as reopened:
-            totals_rows, estimate_rows = reopened.count_rows()
-        assert (totals_rows, estimate_rows) == (8, 0)
-
-    def test_flusher_thread_survives_mid_write_behind_fault(self, tmp_path):
-        path = tmp_path / "cache.db"
-        plan = FaultPlan(faults=(FaultSpec(site="cachestore.write", count=1),))
-        with faults.inject(plan):
-            store = EstimateCacheStore(
-                path,
-                flush_interval_s=0.01,
-                flush_batch=1,
-                write_retry_attempts=3,
-                write_retry_backoff_s=0.001,
-                write_retry_backoff_cap_s=0.01,
-            )
-            try:
-                store.enqueue_totals(b"fp", self.rows(4))
-                deadline = time.monotonic() + 10.0
-                while store.rows_flushed < 4 and time.monotonic() < deadline:
-                    time.sleep(0.01)
-                # The injected OSError hit the background flusher, which
-                # retried instead of dying: the rows still landed.
-                assert store.rows_flushed == 4
-                assert store.retried_writes >= 1
-                assert not store.dead
-            finally:
-                store.close()
-        with EstimateCacheStore(path) as reopened:
-            assert reopened.count_rows() == (4, 0)
-
-    def test_exhausted_retry_budget_degrades_gracefully(self, tmp_path):
-        path = tmp_path / "cache.db"
-        plan = FaultPlan(faults=(FaultSpec(site="cachestore.write", count=50),))
-        with faults.inject(plan):
-            with EstimateCacheStore(
-                path,
-                flush_interval_s=30.0,
-                write_retry_attempts=2,
-                write_retry_backoff_s=0.001,
-                write_retry_backoff_cap_s=0.01,
-            ) as store:
-                store.enqueue_totals(b"fp", self.rows(3))
-                assert store.flush() == 0
-                assert store.dead
-                assert store.failed_writes == 1
-                assert store.retried_writes == 2
-                # Dead store: later traffic is dropped, nothing raises.
-                store.enqueue_totals(b"fp", self.rows(2))
-                assert store.flush() == 0
-        with EstimateCacheStore(path) as reopened:
-            assert reopened.count_rows() == (0, 0)
 
 
 # ---------------------------------------------------------------------------

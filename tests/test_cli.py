@@ -437,29 +437,19 @@ class TestServeCommand:
 
 
 class TestServePoolFlags:
-    def test_parses_workers_and_cache_store(self):
+    def test_parses_workers(self):
         args = build_parser().parse_args(
-            ["serve", "--unix", "/tmp/p.sock", "--workers", "4",
-             "--cache-store", "/tmp/c.db"]
+            ["serve", "--unix", "/tmp/p.sock", "--workers", "4"]
         )
         assert args.workers == 4
-        assert args.cache_store == "/tmp/c.db"
 
     def test_workers_default_to_single_process(self):
         args = build_parser().parse_args(["serve", "--unix", "/tmp/p.sock"])
         assert args.workers == 1
-        assert args.cache_store is None
 
     def test_zero_workers_exit_2(self, capsys):
         assert main(["serve", "--unix", "/tmp/p.sock", "--workers", "0"]) == 2
         assert "--workers must be at least 1" in capsys.readouterr().err
-
-    def test_shared_cache_conflicts_with_cache_store(self, tmp_path, capsys):
-        assert main(
-            ["serve", "--unix", "/tmp/p.sock", "--shared-cache",
-             "--cache-store", str(tmp_path / "c.db")]
-        ) == 2
-        assert "mutually exclusive" in capsys.readouterr().err
 
 
 class TestServeSigterm:
@@ -468,12 +458,14 @@ class TestServeSigterm:
     not an abrupt death mid-batch."""
 
     @staticmethod
-    def _spawn(sock_path, *extra):
+    def _spawn(sock_path, *extra, tmpdir=None):
         import repro
 
         src_dir = str(Path(repro.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        if tmpdir is not None:
+            env["TMPDIR"] = str(tmpdir)
         return subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--unix", sock_path,
              *extra],
@@ -542,3 +534,26 @@ class TestServeSigterm:
         assert "(2 workers)" in err
         assert "plan server stopped" in err
         assert not os.path.exists(sock_path)
+
+    def test_sigterm_removes_the_transient_admission_store(self, tmp_path):
+        sock_path = os.path.join(tmp_path, "pool.sock")
+        proc = self._spawn(sock_path, "--workers", "2", "--rate", "1000",
+                           tmpdir=tmp_path)
+        try:
+            # The router prints its listening line once its SIGTERM handler
+            # is installed; a signal before that would kill it outright.
+            head = ""
+            while "listening on" not in head:
+                line = proc.stderr.readline()
+                assert line, f"server died during startup: {head}"
+                head += line
+            # The workers share a transient admission database while serving.
+            assert len(list(tmp_path.glob("repro-serve-*"))) == 1
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=20)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, head + err
+        assert list(tmp_path.glob("repro-serve-*")) == []

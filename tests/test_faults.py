@@ -88,7 +88,7 @@ class TestFaultPlanTransport:
         return FaultPlan(
             faults=(
                 FaultSpec(site="pool.route", action="kill", worker=1, after=3),
-                FaultSpec(site="cachestore.write", count=2, message="blip"),
+                FaultSpec(site="worker.start", worker=0, count=2, message="blip"),
                 FaultSpec(
                     site="scheduler.dispatch", action="latency", latency_s=0.25
                 ),
@@ -146,11 +146,11 @@ class TestFaultPlanTransport:
 # ---------------------------------------------------------------------------
 class TestInjector:
     def test_after_count_window(self):
-        spec = FaultSpec(site="cachestore.write", after=2, count=2)
+        spec = FaultSpec(site="server.reply", after=2, count=2)
         injector = FaultInjector(FaultPlan(faults=(spec,)))
-        armed = [bool(injector.fire("cachestore.write")) for _ in range(6)]
+        armed = [bool(injector.fire("server.reply")) for _ in range(6)]
         assert armed == [False, False, True, True, False, False]
-        assert injector.stats()["fired"] == {"cachestore.write": 2}
+        assert injector.stats()["fired"] == {"server.reply": 2}
 
     def test_selector_scopes_the_event_count(self):
         spec = FaultSpec(site="pool.route", action="kill", worker=1, after=1)
@@ -162,28 +162,28 @@ class TestInjector:
         assert injector.fire("pool.route", worker=1) == [spec]
 
     def test_reset_restarts_the_windows(self):
-        spec = FaultSpec(site="cachestore.write")
+        spec = FaultSpec(site="server.reply")
         injector = FaultInjector(FaultPlan(faults=(spec,)))
-        assert injector.fire("cachestore.write") == [spec]
-        assert injector.fire("cachestore.write") == []
+        assert injector.fire("server.reply") == [spec]
+        assert injector.fire("server.reply") == []
         injector.reset()
-        assert injector.fire("cachestore.write") == [spec]
+        assert injector.fire("server.reply") == [spec]
 
     def test_module_hooks_are_noops_without_a_plan(self):
         assert faults.fire("pool.route", worker=0) == []
-        faults.check("cachestore.write")  # does not raise
+        faults.check("worker.start", worker=0)  # does not raise
         assert faults.latency("scheduler.dispatch") == 0.0
 
     def test_check_raises_fault_error_for_raise_specs_only(self):
         plan = FaultPlan(
             faults=(
-                FaultSpec(site="cachestore.write", message="disk blip"),
+                FaultSpec(site="worker.start", message="startup blip"),
                 FaultSpec(site="pool.route", action="kill"),
             )
         )
         with faults.inject(plan):
-            with pytest.raises(FaultError, match="disk blip"):
-                faults.check("cachestore.write")
+            with pytest.raises(FaultError, match="startup blip"):
+                faults.check("worker.start", worker=0)
             faults.check("pool.route", worker=0)  # kill is the caller's job
 
     def test_fault_error_is_an_os_error(self):
@@ -208,13 +208,13 @@ class TestInjector:
             assert faults.latency("scheduler.dispatch") == pytest.approx(0.25)
 
     def test_inject_uninstalls_on_exit(self):
-        plan = FaultPlan(faults=(FaultSpec(site="cachestore.write"),))
+        plan = FaultPlan(faults=(FaultSpec(site="worker.start"),))
         with faults.inject(plan) as injector:
             assert faults.active_injector() is injector
         assert faults.active_plan() is None
 
     def test_install_plan_replaces_previous(self):
-        first = FaultPlan(faults=(FaultSpec(site="cachestore.write"),))
+        first = FaultPlan(faults=(FaultSpec(site="worker.start"),))
         second = FaultPlan(faults=(FaultSpec(site="pool.route"),))
         faults.install_plan(first)
         faults.install_plan(second)

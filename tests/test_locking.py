@@ -1,9 +1,9 @@
 """Tests for named locks and the runtime lock-order sanitizer (ISSUE 9).
 
 The sanitizer files every lock under its ``make_lock(name)``.  These tests
-pin the registry, the off-by-default behaviour, the sanitizer's
-inversion/self-deadlock detection, and the real lock nesting it must see —
-the CI ``sanitizer`` job runs the whole test suite with it armed.
+pin the registry, the off-by-default behaviour and the sanitizer's
+inversion/self-deadlock detection — the CI ``sanitizer`` job runs the whole
+test suite with it armed.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ import threading
 
 import pytest
 
-from repro.costmodel import StepCost
-from repro.costmodel.cachestore import EstimateCacheStore, PersistentEstimateCache
 from repro.locking import (
     SANITIZER_ENV,
     LockOrderViolation,
@@ -141,7 +139,7 @@ class TestSanitizer:
         assert ("test-reset-b", "test-reset-a") in lock_order_edges()
 
     def test_distinct_locks_same_name_do_not_self_trip(self, sanitizer):
-        # Two instances under one name (e.g. cachestore-db per store) held
+        # Two instances under one name (e.g. admission-db per store) held
         # together would look like a self-edge; the sanitizer must skip
         # same-name pairs rather than fabricate an inversion.
         first = make_lock("test-same-name")
@@ -151,24 +149,3 @@ class TestSanitizer:
                 pass
         assert ("test-same-name", "test-same-name") not in lock_order_edges()
 
-
-class TestCacheStoreNesting:
-    def test_persistent_cache_miss_orders_cache_before_store(
-        self, sanitizer, tmp_path
-    ):
-        # The repo's real lock nesting: a cache miss holds estimate-cache
-        # while it reads (cachestore-db) and queues (cachestore-queue) store
-        # rows, three calls below the lock.
-        store = EstimateCacheStore(tmp_path / "cache.db")
-        cache = PersistentEstimateCache(store)
-        steps = (StepCost("s0", 1000, cpu_unit_s=1e-8, gpu_unit_s=2e-8),)
-        try:
-            cache.totals(steps, [[0.5]])
-            edges = lock_order_edges()
-            assert ("estimate-cache", "cachestore-db") in edges
-            assert ("estimate-cache", "cachestore-queue") in edges
-            with store._db_lock:
-                with pytest.raises(LockOrderViolation, match="estimate-cache"):
-                    cache.totals(steps, [[0.25]])
-        finally:
-            store.close()

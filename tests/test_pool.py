@@ -12,8 +12,6 @@ Pinned here:
 * the multi-worker **bit-parity** gate: the same 64-request workload served
   through ``--workers 1``, ``--workers 4`` and a direct ``plan_many`` call
   yields byte-identical plans;
-* a shared cache store carries hits across workers and across a pool
-  restart;
 * admission control debits one fleet-wide bucket, not one bucket per worker;
 * a dead worker is respawned on the next routing attempt;
 * stale unix socket files are reclaimed at bind and unlinked at shutdown.
@@ -31,7 +29,6 @@ import numpy as np
 import pytest
 
 from repro.costmodel import StepCost
-from repro.costmodel.cachestore import EstimateCacheStore, PersistentEstimateCache
 from repro.service import (
     ERROR_ADMISSION,
     PlanRequest,
@@ -40,7 +37,6 @@ from repro.service import (
     PoolConfig,
     SharedEstimateCache,
     WorkerPool,
-    build_worker_server,
     connect_plan_client,
     run_worker,
 )
@@ -234,31 +230,6 @@ class TestWorkerPoolServing:
 
 
 class TestSharedStateAcrossWorkers:
-    def test_store_carries_hits_across_pool_restart(self, sock_path, tmp_path):
-        store_path = os.path.join(tmp_path, "cache.db")
-        requests = mixed_requests(24, 4, seed=25)
-        config = PoolConfig(
-            workers=2, unix_path=sock_path, cache_store=store_path, window_s=0.01
-        )
-        first, _ = serve_workload(config, requests, clients=4)
-        assert len(first) == 24
-        # The workers flushed their write-behind queues on drain.
-        with EstimateCacheStore(store_path) as store:
-            totals_rows, _ = store.count_rows()
-        assert totals_rows > 0
-
-        # "Restart": a fresh worker stack on the same store starts warm.
-        server, service = build_worker_server(config)
-        cache = service.cache
-        assert isinstance(cache, PersistentEstimateCache)
-        restarted = service.plan_many(requests)
-        assert cache.store_hits > 0
-        lookups = cache.hits + cache.misses
-        assert cache.hits / lookups > 0.5  # the cold-start gate, in miniature
-        by_id = {r.request_id: r for r in restarted}
-        assert_plans_identical(first, by_id)
-        service.close()
-
     def test_admission_is_fleet_wide_not_per_worker(self, sock_path, tmp_path):
         store_path = os.path.join(tmp_path, "cache.db")
         request = mixed_requests(1, 1, seed=26)[0]
