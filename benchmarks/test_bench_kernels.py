@@ -12,8 +12,9 @@ parity on the benchmark shapes:
   evaluation per relation versus the per-pass loop (``fused=False``):
   gate >= 5x.
 * **Executor replay** — repeated ratio splits over one executed series
-  (the Monte Carlo measurement loop) with the memoised workload proxy
-  versus cold per-call recomputation: gate >= 1.3x.
+  (the Monte Carlo measurement loop) with the memoised workload proxy and
+  per-range ``WorkStats`` versus cold per-call recomputation: gate >= 1.3x,
+  with every split's timing bit-identical on both sides.
 
 Every gate records its measured numbers in ``BENCH.json`` (uploaded as a
 CI artifact) besides the human-readable summary line.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.executor import CoProcessingExecutor
+from repro.core.executor import CoProcessingExecutor, PhaseTiming
 from repro.data.workload import JoinWorkload
 from repro.hardware.machine import coupled_machine
 from repro.hashjoin import (
@@ -146,12 +147,13 @@ def test_bench_partition_kernel(bench_summary, bench_json, best_seconds):
 
 
 def test_bench_executor_replay(bench_summary, bench_json, best_seconds, bench_tuples):
-    """Repeated ratio splits (the Monte Carlo loop) on memoised work proxies.
+    """Repeated ratio splits (the Monte Carlo loop) on memoised work stats.
 
-    The cold side strips the memoised proxy/divergence between calls —
-    exactly what the pre-kernel code recomputed on every
-    ``execute_series`` — so the gate isolates the caching win on an
-    otherwise identical code path.
+    The cold side empties each step's memoised proxy and per-range
+    ``WorkStats`` memo between calls — exactly what the pre-kernel code
+    recomputed on every ``execute_series`` — so the gate isolates the
+    caching win on an otherwise identical code path.  Both sides must
+    produce bit-identical timings for every split.
     """
     workload = JoinWorkload.skewed("high-skew", bench_tuples, bench_tuples, seed=42)
     run = PartitionedHashJoin(
@@ -161,17 +163,25 @@ def test_bench_executor_replay(bench_summary, bench_json, best_seconds, bench_tu
     executor = CoProcessingExecutor(coupled_machine())
     splits = np.random.default_rng(0).uniform(0.0, 1.0, size=(30, series.n_steps))
 
-    def replay(cold: bool):
+    def replay(cold: bool) -> list[PhaseTiming]:
+        timings = []
         for row in splits:
             if cold:
                 for execution in series:
                     execution.work._proxy_cache = None
-                    execution.work._divergence_cache = {}
-            executor.execute_series(series, row.tolist(), pipelined=True)
+                    execution.work._stats_memo.clear()
+            timings.append(executor.execute_series(series, row.tolist(), pipelined=True))
+        return timings
 
     warm_s = best_seconds(lambda: replay(False), repeats=3)
     cold_s = best_seconds(lambda: replay(True), repeats=3)
     speedup = cold_s / warm_s
+
+    for warm, cold in zip(replay(False), replay(True), strict=True):
+        assert warm.elapsed_s == cold.elapsed_s
+        assert [(s.cpu_s, s.gpu_s) for s in warm.steps] == [
+            (s.cpu_s, s.gpu_s) for s in cold.steps
+        ]
     bench_summary(
         f"executor replay: 30 ratio splits in {warm_s * 1e3:.0f} ms warm vs "
         f"{cold_s * 1e3:.0f} ms cold ({speedup:.1f}x)"

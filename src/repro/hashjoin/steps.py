@@ -31,6 +31,10 @@ from ..hardware.workstats import WorkProfile, WorkStats
 from ..opencl.ndrange import AMD_WAVEFRONT_WIDTH
 from ..opencl.wavefront import wavefront_divergence
 
+#: Most :class:`WorkStats` one :class:`PerTupleWork` memoises.  A Monte
+#: Carlo step on the 0.02 ratio grid needs about 102 (51 cuts x 2 sides).
+STATS_MEMO_ENTRIES = 256
+
 BUILD_PHASE = "build"
 PROBE_PHASE = "probe"
 PARTITION_PHASE = "partition"
@@ -110,11 +114,17 @@ class PerTupleWork:
     of length ``n_tuples`` (workload-dependent work, e.g. key-list traversal
     lengths in ``b3``/``p3``).
 
-    The workload proxy and the full-range divergence are memoised after
-    their first use (executors, calibration and Monte Carlo studies evaluate
-    them once per ratio split); the quantities must therefore not be mutated
-    in place after the first stats call — build a new instance (or
-    ``dataclasses.replace``) instead, which starts with fresh caches.
+    The workload proxy is memoised after its first use, and so is every
+    :class:`WorkStats` that :meth:`stats_for_range` returns, keyed by the
+    clamped ``(start, stop, conflict_ratio, wavefront_width, grouped)``.
+    Executors, calibration and Monte Carlo studies revisit the same ranges
+    (ratios on the optimiser's delta grid cut each step at a few dozen
+    points), so a repeat is a dictionary lookup; ``WorkStats`` is frozen, so
+    callers share one instance.  The memo keeps at most
+    :data:`STATS_MEMO_ENTRIES` entries and evicts the oldest first.  The
+    quantities must therefore not be mutated in place after the first stats
+    call — build a new instance (or ``dataclasses.replace``) instead, which
+    starts with fresh caches.
     """
 
     n_tuples: int
@@ -128,7 +138,7 @@ class PerTupleWork:
         if self.n_tuples < 0:
             raise ValueError("n_tuples must be non-negative")
         self._proxy_cache: np.ndarray | None = None
-        self._divergence_cache: dict[tuple[int, bool], float] = {}
+        self._stats_memo: dict[tuple[int, int, float, int, bool], WorkStats] = {}
 
     # ------------------------------------------------------------------
     def _full_proxy(self) -> np.ndarray:
@@ -167,29 +177,27 @@ class PerTupleWork:
         n = max(stop - start, 0)
         if n == 0:
             return WorkStats()
-        # Full-range divergence recurs across calibration, single-device
-        # baselines and repeated Monte Carlo splits; memoise it per
-        # (wavefront width, grouped) pair.
-        full_range = start == 0 and stop == self.n_tuples
-        cache_key = (wavefront_width, grouped)
-        divergence = self._divergence_cache.get(cache_key) if full_range else None
-        if divergence is None:
-            proxy = self.workload_proxy(start, stop)
-            if grouped:
-                proxy = np.sort(proxy)
-            divergence = wavefront_divergence(proxy, width=wavefront_width).divergence
-            if full_range:
-                self._divergence_cache[cache_key] = divergence
-        return WorkStats(
+        key = (start, stop, conflict_ratio, wavefront_width, grouped)
+        stats = self._stats_memo.get(key)
+        if stats is not None:
+            return stats
+        proxy = self.workload_proxy(start, stop)
+        if grouped:
+            proxy = np.sort(proxy)
+        stats = WorkStats(
             tuples=n,
             instructions=_range_sum(self.instructions, start, stop),
             sequential_bytes=_range_sum(self.sequential_bytes, start, stop),
             random_accesses=_range_sum(self.random_accesses, start, stop),
             global_atomics=_range_sum(self.global_atomics, start, stop),
             local_atomics=_range_sum(self.local_atomics, start, stop),
-            divergence=divergence,
+            divergence=wavefront_divergence(proxy, width=wavefront_width).divergence,
             atomic_conflict_ratio=conflict_ratio,
         )
+        if len(self._stats_memo) >= STATS_MEMO_ENTRIES:
+            del self._stats_memo[next(iter(self._stats_memo))]  # oldest first
+        self._stats_memo[key] = stats
+        return stats
 
     def total_stats(
         self,

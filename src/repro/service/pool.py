@@ -25,7 +25,8 @@ pre-fork architecture on top of the existing transport:
   worker matches the configured ratios.
 
 Shutdown is structured end to end: SIGTERM/SIGINT set the router's stop
-event; the router closes its listeners, half-closes every worker channel
+event (one that arrives during start-up is held until the loop runs); the
+router closes its listeners, half-closes every worker channel
 (the EOF is the worker's shutdown signal), and each worker drains — queued
 requests fail with ``server-shutdown`` errors and the process exits 0.
 
@@ -68,6 +69,9 @@ __all__ = [
 #: recv_fds ancillary capacity per message; the router sends one fd per
 #: message but a slow worker may find several queued.
 _MAX_FDS_PER_MESSAGE = 8
+
+#: Signals that drain the router and every worker.
+_STOP_SIGNALS = (signal.SIGTERM, signal.SIGINT)
 
 
 @dataclass
@@ -221,7 +225,7 @@ def install_stop_signals(
     if threading.current_thread() is not threading.main_thread():
         return []
     installed: list[int] = []
-    for signum in (signal.SIGTERM, signal.SIGINT):
+    for signum in _STOP_SIGNALS:
         try:
             loop.add_signal_handler(signum, stop.set)
         except (NotImplementedError, RuntimeError, ValueError):
@@ -304,6 +308,10 @@ class WorkerPool:
         self.tcp_address: tuple[str, int] | None = None
         #: Bound unix socket path, until shutdown unlinks it.
         self.unix_path: str | None = None
+        #: Stop-signal handlers ``run_forever`` replaced during start-up.
+        self._startup_handlers: dict[int, Any] = {}
+        #: Whether a stop signal arrived before ``_serve`` installed its own.
+        self._stop_held = False
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -316,16 +324,47 @@ class WorkerPool:
         ``on_ready`` runs once the endpoints are bound and every worker is
         spawned — the moment a client may connect (the CLI prints its
         "listening on" lines from here; tests grab the resolved TCP port).
+
+        A SIGTERM/SIGINT from before the bind until ``_serve`` installs its
+        handlers is held and drains once the loop runs, like a later one,
+        instead of taking the default action and leaving the socket file
+        and the admission directory behind.
         """
+        self._hold_stop_signals()
         try:
-            self._bind_listeners()
-            for index in range(self.config.workers):
-                self._workers.append(self._spawn_worker(index))
-        except BaseException:
-            self._close_listeners()
-            self._stop_workers()
-            raise
-        return asyncio.run(self._serve(on_ready))
+            try:
+                self._bind_listeners()
+                for index in range(self.config.workers):
+                    self._workers.append(self._spawn_worker(index))
+            except BaseException:
+                self._close_listeners()
+                self._stop_workers()
+                raise
+            return asyncio.run(self._serve(on_ready))
+        finally:
+            self._restore_stop_signals()
+
+    def _hold_stop_signals(self) -> None:
+        """Record stop signals in a Python handler until the loop runs.
+
+        A Python handler, not a blocked signal mask: NumPy's native threads
+        block nothing, and the kernel may hand a process-directed signal to
+        any of them, while Python handlers always run on the main thread.
+        """
+        self._stop_held = False
+        if threading.current_thread() is not threading.main_thread():
+            return
+
+        def hold(signum: int, frame: Any) -> None:
+            self._stop_held = True
+
+        for signum in _STOP_SIGNALS:
+            self._startup_handlers[signum] = signal.signal(signum, hold)
+
+    def _restore_stop_signals(self) -> None:
+        for signum, handler in self._startup_handlers.items():
+            signal.signal(signum, handler)
+        self._startup_handlers.clear()
 
     def stop(self) -> None:
         """Request shutdown; safe to call from any thread (or a signal)."""
@@ -343,6 +382,8 @@ class WorkerPool:
         for listener in self._listeners:
             loop.add_reader(listener.fileno(), self._on_accept, listener)
         signals_installed = install_stop_signals(loop, stop)
+        if self._stop_held:
+            stop.set()
         if on_ready is not None:
             on_ready(self)
         try:
@@ -394,6 +435,9 @@ class WorkerPool:
         if self.fork:
             pid = os.fork()
             if pid == 0:  # pragma: no cover - forked child
+                # The router's start-up handlers hold stop signals for the
+                # router alone; the worker takes them as before.
+                self._restore_stop_signals()
                 # The child must hold exactly one inherited descriptor: its
                 # own channel.  Everything else — the listeners, the parent
                 # end, and crucially the *other* workers' parent ends

@@ -458,7 +458,7 @@ class TestServeSigterm:
     not an abrupt death mid-batch."""
 
     @staticmethod
-    def _spawn(sock_path, *extra, tmpdir=None):
+    def _spawn_python(*argv, tmpdir=None):
         import repro
 
         src_dir = str(Path(repro.__file__).resolve().parents[1])
@@ -467,9 +467,14 @@ class TestServeSigterm:
         if tmpdir is not None:
             env["TMPDIR"] = str(tmpdir)
         return subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--unix", sock_path,
-             *extra],
+            [sys.executable, *argv],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+
+    @classmethod
+    def _spawn(cls, sock_path, *extra, tmpdir=None):
+        return cls._spawn_python(
+            "-m", "repro", "serve", "--unix", sock_path, *extra, tmpdir=tmpdir
         )
 
     @staticmethod
@@ -540,8 +545,8 @@ class TestServeSigterm:
         proc = self._spawn(sock_path, "--workers", "2", "--rate", "1000",
                            tmpdir=tmp_path)
         try:
-            # The router prints its listening line once its SIGTERM handler
-            # is installed; a signal before that would kill it outright.
+            # Wait for the listening line, so the SIGTERM drains a pool that
+            # is serving (test_sigterm_during_startup_* covers start-up).
             head = ""
             while "listening on" not in head:
                 line = proc.stderr.readline()
@@ -556,4 +561,34 @@ class TestServeSigterm:
                 proc.kill()
                 proc.communicate()
         assert proc.returncode == 0, head + err
+        assert list(tmp_path.glob("repro-serve-*")) == []
+
+    def test_sigterm_during_startup_drains_and_cleans_up(self, tmp_path):
+        """A SIGTERM after the router binds but before its loop installs
+        the handler — sent here by the router to itself just before its
+        first fork — must drain like one that comes later."""
+        sock_path = os.path.join(tmp_path, "pool.sock")
+        script = (
+            "import os, signal, sys\n"
+            "from repro.cli import main\n"
+            "from repro.service.pool import WorkerPool\n"
+            "spawn = WorkerPool._spawn_worker\n"
+            "def sigterm_then_spawn(self, index):\n"
+            "    if not self._workers:\n"
+            "        os.kill(os.getpid(), signal.SIGTERM)\n"
+            "    return spawn(self, index)\n"
+            "WorkerPool._spawn_worker = sigterm_then_spawn\n"
+            f"sys.exit(main(['serve', '--unix', {sock_path!r},"
+            " '--workers', '2', '--rate', '10']))\n"
+        )
+        proc = self._spawn_python("-c", script, tmpdir=tmp_path)
+        try:
+            _, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, err
+        assert "plan server stopped" in err
+        assert not os.path.exists(sock_path)
         assert list(tmp_path.glob("repro-serve-*")) == []

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import BasicUnitScheduler, CoProcessingExecutor, Scheme, plan_ratios
 from repro.core.executor import ExecutionError
-from repro.costmodel import CalibrationTable
+from repro.costmodel import CalibrationTable, sample_ratio_vectors
 from repro.hardware import coupled_machine, discrete_machine
 from repro.hashjoin import HashJoinConfig, SimpleHashJoin
 
@@ -120,6 +120,37 @@ class TestExecutor:
         directions = machine.bus.seconds_by_direction()
         assert directions["d2h"] > 0.0  # the two CPU-share increases
         assert directions["h2d"] > 0.0  # the CPU-share decrease
+
+    def test_memo_hits_repeat_cache_and_bus_side_effects(self, small_workload_module):
+        """An all-hit replay from the per-range WorkStats memo still charges
+        the cache counters (Table 3) and records the PCI-e transfers,
+        exactly as much as the pass that filled the memo."""
+        # A fresh series, so the first pass is the one that fills the memos.
+        build = SimpleHashJoin(HashJoinConfig()).run(
+            small_workload_module.build, small_workload_module.probe
+        ).build.series
+        machine = discrete_machine()
+        executor = CoProcessingExecutor(machine)
+        vectors = sample_ratio_vectors(build.n_steps, 20, seed=3)
+
+        def replay():
+            accesses, misses = machine.cache.stats.accesses, machine.cache.stats.misses
+            n_transfers = len(machine.bus.transfers)
+            timings = [executor.execute_series(build, ratios) for ratios in vectors]
+            return (
+                timings,
+                machine.cache.stats.accesses - accesses,
+                machine.cache.stats.misses - misses,
+                machine.bus.transfers[n_transfers:],
+            )
+
+        first = replay()
+        memo_sizes = [len(execution.work._stats_memo) for execution in build]
+        second = replay()
+        assert [len(execution.work._stats_memo) for execution in build] == memo_sizes
+        assert second == first
+        _, accesses, misses, transfers = first
+        assert accesses > 0 and misses > 0 and transfers
 
     def test_merge_cost_positive(self):
         executor = CoProcessingExecutor(coupled_machine())

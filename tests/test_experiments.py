@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.experiments import (
@@ -29,6 +31,7 @@ from repro.experiments import (
     run_table1,
     run_table3,
 )
+from repro.hashjoin.steps import PerTupleWork
 
 TINY = 12_000
 
@@ -117,6 +120,18 @@ class TestModelValidation:
         for row in summaries:
             assert row["elapsed_s"] <= row["worst_random_s"]
             assert row["elapsed_s"] <= row["best_random_s"] * 1.3
+
+    def test_fig09_rows_equal_a_memo_free_reference(self, monkeypatch):
+        """The per-range WorkStats memo leaves every fig09 row bit-identical
+        to a run that computes each range's stats on a fresh work copy."""
+        memoised = run_fig09(build_tuples=5_000, n_samples=100).rows
+        stats_for_range = PerTupleWork.stats_for_range
+
+        def on_fresh_copy(self, *args, **kwargs):
+            return stats_for_range(dataclasses.replace(self), *args, **kwargs)
+
+        monkeypatch.setattr(PerTupleWork, "stats_for_range", on_fresh_copy)
+        assert run_fig09(build_tuples=5_000, n_samples=100).rows == memoised
 
 
 class TestDesignTradeoffs:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -218,3 +221,44 @@ class TestPerTupleWorkProperties:
         assert left.instructions + right.instructions == pytest.approx(whole.instructions)
         assert left.tuples + right.tuples == whole.tuples
         assert 0.0 <= whole.divergence <= 1.0
+
+    @SETTINGS
+    @given(
+        st.integers(min_value=0, max_value=300),
+        st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=24),
+        st.lists(
+            st.tuples(st.integers(min_value=-20, max_value=320),
+                      st.integers(min_value=-20, max_value=320)),
+            min_size=1,
+            max_size=6,
+        ),
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=3),
+    )
+    def test_memoised_stats_equal_a_fresh_copy(self, n, pattern, ranges, conflicts):
+        """Warm memo answers equal a fresh copy's, clamped and empty ranges
+        included, for every key variant of a range and on every repeat.
+        Each range is also split in two, as the executor splits a step, so
+        spans sharing a start or a stop meet in one memo.  The per-tuple
+        work repeats a short pattern, so spans wider than a wavefront are
+        common and grouping changes their divergence."""
+        per_tuple = np.resize(np.asarray(pattern, dtype=np.float64), n)
+        work = PerTupleWork(
+            n_tuples=n,
+            instructions=per_tuple,
+            random_accesses=1.0,
+            sequential_bytes=per_tuple[::-1].copy(),
+            global_atomics=0.5,
+        )
+        spans = [
+            span
+            for start, stop in ranges
+            for mid in [(start + stop) // 2]
+            for span in ((start, stop), (start, mid), (mid, stop))
+        ]
+        keys = itertools.product(spans + spans, conflicts, (1, 64), (False, True))
+        for (start, stop), conflict, width, grouped in keys:
+            warm = work.stats_for_range(start, stop, conflict, width, grouped)
+            fresh = dataclasses.replace(work).stats_for_range(
+                start, stop, conflict, width, grouped
+            )
+            assert warm.as_dict() == fresh.as_dict()
