@@ -62,10 +62,10 @@ def _fresh_report() -> None:
 def bench_json():
     """Record one gate's measured numbers in ``BENCH.json``.
 
-    ``bench_json("merge-kernel", speedup=5.7, ...)`` merges the fields under
-    ``gates["merge-kernel"]``, recreating the file when a run of only some
-    gates finds it missing; values must be JSON-serialisable (numbers,
-    strings, booleans, lists).
+    ``bench_json("partition-kernel", speedup=5.7, ...)`` merges the fields
+    under ``gates["partition-kernel"]``, recreating the file when a run of
+    only some gates finds it missing; values must be JSON-serialisable
+    (numbers, strings, booleans, lists).
     """
 
     def record(name: str, **fields) -> None:

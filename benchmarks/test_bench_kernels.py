@@ -4,10 +4,6 @@ The execution layer's kernels each keep their scalar predecessor as a
 togglable reference path; these gates pin the speedups and re-verify bit
 parity on the benchmark shapes:
 
-* **CSR bulk merge** — ``HashTable.merge_from`` versus the per-bucket /
-  per-node reference walk (``use_bulk=False``), on the DD separate-table
-  shape (duplicate-heavy build side, table sized at ~1 bucket per tuple):
-  gate >= 5x.
 * **Fused radix partitioning** — ``execute_partition_phase`` with one hash
   evaluation per relation versus the per-pass loop (``fused=False``):
   gate >= 5x.
@@ -16,32 +12,29 @@ parity on the benchmark shapes:
   per-range ``WorkStats`` versus cold per-call recomputation: gate >= 1.3x,
   with every split's timing bit-identical on both sides.
 
-Every gate records its measured numbers in ``BENCH.json`` (uploaded as a
-CI artifact) besides the human-readable summary line.
+Each gate's parity check is a tier-1 test; its speedup assert is a separate
+``wallclock`` test, deselected by default and run by the CI ``kernel-gate``
+job.  Every gate records its measured numbers in ``BENCH.json`` (uploaded
+as a CI artifact) besides the human-readable summary line.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
+import pytest
 
 from repro.core.executor import CoProcessingExecutor, PhaseTiming
 from repro.data.workload import JoinWorkload
 from repro.hardware.machine import coupled_machine
 from repro.hashjoin import (
     HashJoinConfig,
-    HashTable,
     PartitionConfig,
     PartitionedHashJoin,
-    bucket_of,
-    default_bucket_count,
     execute_partition_phase,
     final_partition_ids,
 )
-
-#: DD separate-table merge shape: a foreign-key-style build side (20 rids per
-#: key) with the table sized by tuple count, as ``make_table`` does.
-MERGE_TUPLES = 400_000
-MERGE_DISTINCT_KEYS = 20_000
 
 #: Fused-partitioning shape: every pass of a deep radix plan re-hashed the
 #: keys before the fusion, so the win scales with the pass count.
@@ -49,68 +42,22 @@ PARTITION_TUPLES = 400_000
 PARTITION_CONFIG = PartitionConfig(bits_per_pass=4, n_passes=6)
 
 
-def _partial_table(seed: int) -> HashTable:
-    rng = np.random.default_rng(seed)
-    keys = rng.integers(0, MERGE_DISTINCT_KEYS, size=MERGE_TUPLES)
-    n_buckets = default_bucket_count(MERGE_TUPLES)
-    table = HashTable(n_buckets=n_buckets)
-    table.bulk_insert(keys, np.arange(MERGE_TUPLES), bucket_of(keys, n_buckets))
-    return table
+def _partition_workload() -> JoinWorkload:
+    return JoinWorkload.uniform(PARTITION_TUPLES, PARTITION_TUPLES, seed=42)
 
 
-def test_bench_merge_kernel(bench_summary, bench_json):
-    """Acceptance: >= 5x on the CSR bulk merge vs the reference chain walk."""
-    import time
-
-    def merge(use_bulk: bool) -> HashTable:
-        target, other = _partial_table(1), _partial_table(2)
-        target.merge_from(other, use_bulk=use_bulk)
-        return target
-
-    def timed_merge(use_bulk: bool, repeats: int = 3) -> float:
-        # The partial tables are rebuilt outside the clock (a merge consumes
-        # its pristine target), so only merge_from itself is measured.
-        best = float("inf")
-        for _ in range(repeats):
-            target, other = _partial_table(1), _partial_table(2)
-            start = time.perf_counter()
-            target.merge_from(other, use_bulk=use_bulk)
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    bulk_s = timed_merge(True)
-    reference_s = timed_merge(False)
-
-    # Parity on the benchmark shape: identical structure and probe output.
-    merged_bulk, merged_ref = merge(True), merge(False)
-    merged_bulk.validate()
-    probe_keys = np.random.default_rng(3).integers(0, MERGE_DISTINCT_KEYS, size=5_000)
-    buckets = bucket_of(probe_keys, merged_bulk.n_buckets)
-    result_bulk, _ = merged_bulk.bulk_probe(probe_keys, np.arange(5_000), buckets)
-    result_ref, _ = merged_ref.bulk_probe(probe_keys, np.arange(5_000), buckets)
-    assert np.array_equal(result_bulk.build_rids, result_ref.build_rids)
-    assert np.array_equal(result_bulk.probe_rids, result_ref.probe_rids)
-
-    speedup = reference_s / bulk_s
-    bench_summary(
-        f"CSR merge kernel: {MERGE_TUPLES} tuples / {MERGE_DISTINCT_KEYS} keys in "
-        f"{bulk_s * 1e3:.1f} ms vs {reference_s * 1e3:.1f} ms reference ({speedup:.1f}x)"
-    )
-    bench_json(
-        "merge-kernel",
-        tuples=MERGE_TUPLES,
-        distinct_keys=MERGE_DISTINCT_KEYS,
-        kernel_ms=round(bulk_s * 1e3, 3),
-        reference_ms=round(reference_s * 1e3, 3),
-        speedup=round(speedup, 2),
-        threshold=5.0,
-    )
-    assert speedup >= 5.0
+def test_bench_partition_kernel():
+    """The fused partition ids equal the per-pass loop's on the gate shape."""
+    keys = _partition_workload().build.keys
+    fused_ids = final_partition_ids(keys, PARTITION_CONFIG, fused=True)
+    loop_ids = final_partition_ids(keys, PARTITION_CONFIG, fused=False)
+    assert np.array_equal(fused_ids, loop_ids)
 
 
-def test_bench_partition_kernel(bench_summary, bench_json, best_seconds):
+@pytest.mark.wallclock
+def test_bench_gate_partition_kernel(bench_summary, bench_json, best_seconds):
     """Acceptance: >= 5x on the fused partition phase vs the per-pass loop."""
-    workload = JoinWorkload.uniform(PARTITION_TUPLES, PARTITION_TUPLES, seed=42)
+    workload = _partition_workload()
     join_config = HashJoinConfig()
 
     def phase(fused: bool):
@@ -122,11 +69,6 @@ def test_bench_partition_kernel(bench_summary, bench_json, best_seconds):
 
     fused_s = best_seconds(lambda: phase(True), repeats=3)
     reference_s = best_seconds(lambda: phase(False), repeats=3)
-
-    fused_ids = final_partition_ids(workload.build.keys, PARTITION_CONFIG, fused=True)
-    loop_ids = final_partition_ids(workload.build.keys, PARTITION_CONFIG, fused=False)
-    assert np.array_equal(fused_ids, loop_ids)
-
     speedup = reference_s / fused_s
     bench_summary(
         f"fused partition phase: {PARTITION_CONFIG.n_passes} passes x "
@@ -146,14 +88,14 @@ def test_bench_partition_kernel(bench_summary, bench_json, best_seconds):
     assert speedup >= 5.0
 
 
-def test_bench_executor_replay(bench_summary, bench_json, best_seconds, bench_tuples):
-    """Repeated ratio splits (the Monte Carlo loop) on memoised work stats.
+@pytest.fixture(scope="module")
+def replay(bench_tuples) -> Callable[[bool], list[PhaseTiming]]:
+    """Repeated ratio splits (the Monte Carlo loop) over one executed series.
 
-    The cold side empties each step's memoised proxy and per-range
+    ``replay(cold=True)`` empties each step's memoised proxy and per-range
     ``WorkStats`` memo between calls — exactly what the pre-kernel code
     recomputed on every ``execute_series`` — so the gate isolates the
-    caching win on an otherwise identical code path.  Both sides must
-    produce bit-identical timings for every split.
+    caching win on an otherwise identical code path.
     """
     workload = JoinWorkload.skewed("high-skew", bench_tuples, bench_tuples, seed=42)
     run = PartitionedHashJoin(
@@ -173,15 +115,25 @@ def test_bench_executor_replay(bench_summary, bench_json, best_seconds, bench_tu
             timings.append(executor.execute_series(series, row.tolist(), pipelined=True))
         return timings
 
-    warm_s = best_seconds(lambda: replay(False), repeats=3)
-    cold_s = best_seconds(lambda: replay(True), repeats=3)
-    speedup = cold_s / warm_s
+    return replay
 
+
+def test_bench_executor_replay(replay):
+    """Warm and cold replays produce bit-identical timings for every split."""
+    replay(False)  # fill the memos, so the warm replay below hits them
     for warm, cold in zip(replay(False), replay(True), strict=True):
         assert warm.elapsed_s == cold.elapsed_s
         assert [(s.cpu_s, s.gpu_s) for s in warm.steps] == [
             (s.cpu_s, s.gpu_s) for s in cold.steps
         ]
+
+
+@pytest.mark.wallclock
+def test_bench_gate_executor_replay(replay, bench_summary, bench_json, best_seconds):
+    """Acceptance: >= 1.3x for the memoised replay vs cold recomputation."""
+    warm_s = best_seconds(lambda: replay(False), repeats=3)
+    cold_s = best_seconds(lambda: replay(True), repeats=3)
+    speedup = cold_s / warm_s
     bench_summary(
         f"executor replay: 30 ratio splits in {warm_s * 1e3:.0f} ms warm vs "
         f"{cold_s * 1e3:.0f} ms cold ({speedup:.1f}x)"

@@ -12,6 +12,9 @@ batch spans.  Two gates pin this down:
   with identical ratios and totals within the scalar tolerance;
 * **raw engine** — one ``batch_totals_mixed`` call over a 32-series mixture
   must beat the equivalent per-series ``batch_totals`` loop, bit-identically.
+
+The parity halves run in tier-1; the speedup asserts are ``wallclock``
+tests, deselected by default and run by the CI ``service-gate`` job.
 """
 
 from __future__ import annotations
@@ -90,11 +93,9 @@ def _scalar_reference(requests: list[PlanRequest]):
     ]
 
 
-def test_bench_mixed_service_vs_scalar_gate(
-    benchmark, bench_summary, bench_json, best_seconds
-):
-    """Acceptance: >= 2x for 64 mixed-fingerprint requests vs the scalar
-    per-request reference."""
+def test_bench_mixed_service_vs_scalar_gate(benchmark):
+    """The mixed-series service decides exactly like the scalar per-request
+    reference on the gate's 64-request workload."""
     requests = _mixed_fingerprint_requests()
 
     mixed_responses = benchmark(
@@ -107,6 +108,12 @@ def test_bench_mixed_service_vs_scalar_gate(
         assert mixed.ratios == scalar.ratios
         assert mixed.total_s == pytest.approx(scalar.total_s, abs=TOL, rel=TOL)
 
+
+@pytest.mark.wallclock
+def test_bench_gate_mixed_service(bench_summary, bench_json, best_seconds):
+    """Acceptance: >= 2x for 64 mixed-fingerprint requests vs the scalar
+    per-request reference."""
+    requests = _mixed_fingerprint_requests()
     mixed_s = best_seconds(
         lambda: PlanService(cache=SharedEstimateCache()).plan_many(requests),
         repeats=5,
@@ -156,10 +163,8 @@ def test_bench_mixed_engine_call_count(bench_summary):
     assert calls < N_SERIES
 
 
-def test_bench_raw_mixed_engine_vs_per_series_loop(
-    benchmark, bench_summary, best_seconds
-):
-    """One batch_totals_mixed call vs a per-series batch_totals loop."""
+def _raw_segments() -> list[tuple[tuple[StepCost, ...], np.ndarray]]:
+    """32 series of 4-9 steps with 40 random ratio rows each."""
     rng = np.random.default_rng(17)
     segments = []
     for k in range(N_SERIES):
@@ -167,13 +172,23 @@ def test_bench_raw_mixed_engine_vs_per_series_loop(
         segments.append(
             (steps, rng.uniform(0.0, 1.0, size=(40, len(steps))))
         )
+    return segments
 
+
+def test_bench_raw_mixed_engine_vs_per_series_loop(benchmark):
+    """One batch_totals_mixed call equals a per-series batch_totals loop."""
+    segments = _raw_segments()
     mixed_totals = benchmark(lambda: batch_totals_mixed(segments))
     loop_totals = np.concatenate(
         [batch_totals(list(steps), matrix) for steps, matrix in segments]
     )
     assert np.array_equal(mixed_totals, loop_totals)
 
+
+@pytest.mark.wallclock
+def test_bench_gate_raw_mixed_engine(bench_summary, best_seconds):
+    """One batch_totals_mixed call vs a per-series batch_totals loop."""
+    segments = _raw_segments()
     mixed_s = best_seconds(lambda: batch_totals_mixed(segments), repeats=5)
     loop_s = best_seconds(
         lambda: [batch_totals(list(steps), matrix) for steps, matrix in segments],

@@ -12,6 +12,9 @@ serial loop.  The gates here:
   matches, so the pool's win is not drowned in serialising per-tuple step
   arrays.  Gate >= 2x on 4 workers; CPU-gated because the container running
   the tier-1 suite may expose a single core, while the CI runner has four.
+  A ``wallclock`` test: deselected by default and run by the CI
+  ``kernel-gate`` job.  The parity it also checks is pinned in tier-1 by
+  ``tests/test_parallel_join.py::TestCoarseParallelParity``.
 * **Fine-grained speedup (recorded, not gated)** — the same shape through
   ``PartitionedHashJoin(parallel=True)``, whose per-tuple step series must
   travel back over IPC; the measured ratio is recorded so the artifact
@@ -66,6 +69,7 @@ def _bench_relations() -> tuple[Relation, Relation]:
     return build, probe
 
 
+@pytest.mark.wallclock
 @needs_gate_cpus
 def test_bench_parallel_pair_speedup(bench_summary, bench_json, best_seconds):
     """Acceptance: >= 2x over the serial pair loop on 4 pool workers."""

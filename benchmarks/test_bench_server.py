@@ -12,6 +12,10 @@ gate pins that end to end, over real unix-socket connections:
 * **bit-identical serving** — every response that crossed the wire must be
   byte-for-byte equal to a direct ``plan_many`` call on the
   same workload: same ratios, same per-step estimate vectors, same totals.
+
+Both checks share one set of measured runs; the bit-identity check runs in
+tier-1, and the throughput assert is a ``wallclock`` test, deselected by
+default and run by the CI ``serve-gate`` job.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import tempfile
 import time
 
 import numpy as np
+import pytest
 
 from repro.costmodel import StepCost
 from repro.service import (
@@ -119,28 +124,29 @@ def _drive_server(window_s: float, max_batch: int):
     return asyncio.run(go())
 
 
-def test_bench_server_micro_batching_gate(bench_summary, bench_json):
-    """Acceptance: >= 1.5x for 8 clients x 64 requests vs the naive server,
-    with every served plan bit-identical to direct plan_many."""
+@pytest.fixture(scope="module")
+def served() -> dict[str, tuple[float, list]]:
+    """Best-of-N cold runs per server: ``{label: (seconds, results)}``."""
     # Cold run per measurement (fresh server, scheduler and cache each time);
     # best-of-N so one noisy run cannot flip the gate.
-    batched_s = float("inf")
-    batched_results = None
-    for _ in range(3):
-        elapsed, results = _drive_server(window_s=0.002, max_batch=N_REQUESTS)
-        if elapsed < batched_s:
-            batched_s, batched_results = elapsed, results
-    naive_s = float("inf")
-    naive_results = None
-    for _ in range(2):
-        elapsed, results = _drive_server(window_s=0.0, max_batch=1)
-        if elapsed < naive_s:
-            naive_s, naive_results = elapsed, results
+    return {
+        label: min(
+            (_drive_server(window_s, max_batch) for _ in range(runs)),
+            key=lambda run: run[0],
+        )
+        for label, window_s, max_batch, runs in (
+            ("batched", 0.002, N_REQUESTS, 3),
+            ("naive", 0.0, 1, 2),
+        )
+    }
 
-    # Bit-identical serving, both strategies, before any speed claims.
+
+def test_bench_server_micro_batching_gate(served):
+    """Every plan served by the micro-batched and the naive server is
+    bit-identical to direct plan_many."""
     direct = PlanService(cache=SharedEstimateCache()).plan_many(_requests())
     by_id = {response.request_id: response for response in direct}
-    for label, results in (("batched", batched_results), ("naive", naive_results)):
+    for label, (_, results) in served.items():
         assert len(results) == N_REQUESTS, label
         for result in results:
             reference = by_id[result.response.request_id]
@@ -159,6 +165,11 @@ def test_bench_server_micro_batching_gate(bench_summary, bench_json):
                 result.response.estimate.gpu_delay_s == reference.estimate.gpu_delay_s
             ), label
 
+
+@pytest.mark.wallclock
+def test_bench_gate_server_micro_batching(served, bench_summary, bench_json):
+    """Acceptance: >= 1.5x for 8 clients x 64 requests vs the naive server."""
+    batched_s, naive_s = served["batched"][0], served["naive"][0]
     speedup = naive_s / batched_s
     bench_summary(
         f"plan server: {N_CLIENTS} clients x {N_REQUESTS} requests over "

@@ -2,7 +2,7 @@
 
 Five PRs of vectorized kernels and a concurrent serving tier left the
 repro's correctness resting on *conventions*: every kernel keeps a
-bit-matched scalar reference behind a toggle, every shared-cache attribute
+bit-matched scalar reference behind a toggle, every shared cache attribute
 is only touched under its lock.  This package checks those conventions
 statically.
 

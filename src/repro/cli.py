@@ -201,9 +201,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         print(f"invalid workload: {exc}", file=sys.stderr)
         return 2
 
-    service = PlanService(
-        cache=None if args.shared_cache else SharedEstimateCache()
-    )
+    service = PlanService(cache=SharedEstimateCache())
     responses = service.plan_many(requests)
     text = _format_plans(responses, service.stats(), args.format)
     if args.output:
@@ -287,8 +285,6 @@ def _parse_weights(entries: Sequence[str]) -> dict[str, float]:
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import os
-    import shutil
-    import tempfile
 
     from .service.pool import (
         PoolConfig,
@@ -357,18 +353,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"invalid serve configuration: {exc}", file=sys.stderr)
             return 2
-        transient = None
-        if args.rate is not None:
-            # Per-worker buckets would admit N*rate fleet-wide; the workers
-            # share one admission table in a transient database instead,
-            # removed when the pool stops.
-            transient = tempfile.mkdtemp(prefix="repro-serve-")
-            config.cache_store = os.path.join(transient, "admission.db")
-            print(f"admission control across {args.workers} workers needs "
-                  f"shared state; using transient admission store "
-                  f"{config.cache_store}", file=sys.stderr)
 
         def _announce(ready: WorkerPool) -> None:
+            if args.rate is not None:
+                # The pool keeps the shared admission table in a transient
+                # database for the run (WorkerPool.run_forever).
+                print(f"admission control across {args.workers} workers needs "
+                      f"shared state; using transient admission store "
+                      f"{ready.config.cache_store}", file=sys.stderr)
             if ready.unix_path is not None:
                 print(f"plan server listening on unix:{ready.unix_path} "
                       f"({args.workers} workers)", file=sys.stderr)
@@ -381,9 +373,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             pool.run_forever(on_ready=_announce)
         except KeyboardInterrupt:
             pass
-        finally:
-            if transient is not None:
-                shutil.rmtree(transient, ignore_errors=True)
         print("plan server stopped", file=sys.stderr)
         return 0
 
@@ -475,17 +464,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub_plan.add_argument("--format", choices=("text", "markdown", "json"),
                           default="text")
     sub_plan.add_argument("--output", default=None, help="write the plans to this file")
-    sub_plan.add_argument("--shared-cache", action="store_true",
-                          help="use the process-wide estimate cache instead of a "
-                               "fresh one (warm across repeated invocations in "
-                               "the same process)")
     sub_plan.set_defaults(func=cmd_plan)
 
     sub_lint = subparsers.add_parser(
         "lint",
-        help="run the AST-based invariant checkers (lock discipline, "
-             "kernel-parity contracts, NumPy hygiene, async-blocking, wire "
-             "precision) over src/ and tests/",
+        help="run the AST-based invariant checkers (lock-discipline, "
+             "kernel-parity, numpy-hygiene, async-blocking, fork-safety) "
+             "over src/ and tests/",
     )
     sub_lint.add_argument("--root", default=".",
                           help="repository root to lint (default: cwd)")

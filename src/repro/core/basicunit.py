@@ -11,11 +11,10 @@ faster than their BasicUnit counterparts, and the resulting per-phase ratios
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..hardware.machine import CPU, GPU, Machine, coupled_machine
 from ..hashjoin.steps import StepSeries
-from .executor import PhaseTiming, StepTiming
 
 
 class BasicUnitError(ValueError):
@@ -152,38 +151,3 @@ class BasicUnitScheduler:
 
     def schedule(self, series_list: list[StepSeries]) -> BasicUnitRun:
         return BasicUnitRun(phases=[self.schedule_series(s) for s in series_list])
-
-    # ------------------------------------------------------------------
-    def as_phase_timing(self, series: StepSeries) -> PhaseTiming:
-        """Adapter producing the same :class:`PhaseTiming` shape as the executor.
-
-        The chunk assignment is folded into an equivalent per-phase ratio so
-        downstream reporting (time breakdowns) can treat BasicUnit uniformly.
-        """
-        outcome = self.schedule_series(series)
-        ratio = outcome.cpu_ratio
-        steps = [
-            StepTiming(
-                name=e.step.name,
-                ratio=ratio,
-                cpu=self.machine.step_time(
-                    CPU, e.stats_for_range(0, int(round(e.n_tuples * ratio)), CPU), e.working_set
-                ),
-                gpu=self.machine.step_time(
-                    GPU, e.stats_for_range(int(round(e.n_tuples * ratio)), e.n_tuples, GPU),
-                    e.working_set,
-                ),
-                cpu_tuples=int(round(e.n_tuples * ratio)),
-                gpu_tuples=e.n_tuples - int(round(e.n_tuples * ratio)),
-            )
-            for e in series
-        ]
-        return PhaseTiming(
-            phase=series.phase,
-            ratios=[ratio] * series.n_steps,
-            steps=steps,
-            cpu_delay_s=[0.0] * series.n_steps,
-            gpu_delay_s=[0.0] * series.n_steps,
-            transfer_s=0.0,
-            merge_s=outcome.scheduling_overhead_s,
-        )

@@ -117,8 +117,6 @@ class CoProcessingExecutor:
         series: StepSeries,
         ratios: Sequence[float],
         pipelined: bool = True,
-        transfer_input: bool = True,
-        transfer_output: bool = True,
     ) -> PhaseTiming:
         """Measure one phase under the given per-step CPU ratios.
 
@@ -126,9 +124,8 @@ class CoProcessingExecutor:
         ratios on every step (DD) or all-0/1 ratios (OL) the delays are zero
         anyway, so it is safe to leave it on.
 
-        ``transfer_input`` / ``transfer_output`` control whether, on the
-        discrete architecture, the GPU's share of the first step's input and
-        of the last step's output are moved over the PCI-e bus.
+        On the discrete architecture, the GPU's share of the first step's
+        input and of the last step's output are moved over the PCI-e bus.
         """
         ratios = _validate_ratios(series, ratios)
         timings: list[StepTiming] = []
@@ -178,13 +175,13 @@ class CoProcessingExecutor:
         # Input / output movement of the GPU's share on the discrete machine.
         if not self.machine.is_coupled and series.n_steps:
             first, last = timings[0], timings[-1]
-            if transfer_input and first.gpu_tuples:
+            if first.gpu_tuples:
                 transfer_s += self.machine.transfer_seconds(
                     first.gpu_tuples * TUPLE_BYTES,
                     PCIeBus.HOST_TO_DEVICE,
                     label=f"{series.phase}:input",
                 )
-            if transfer_output and last.gpu_tuples:
+            if last.gpu_tuples:
                 transfer_s += self.machine.transfer_seconds(
                     last.gpu_tuples * TUPLE_BYTES,
                     PCIeBus.DEVICE_TO_HOST,
@@ -209,19 +206,6 @@ class CoProcessingExecutor:
         )
 
     # ------------------------------------------------------------------
-    def execute_single_device(self, series: StepSeries, device: str) -> PhaseTiming:
-        """Run a phase entirely on one device (CPU-only / GPU-only baselines)."""
-        if device not in (CPU, GPU):
-            raise ExecutionError(f"unknown device {device!r}")
-        ratio = 1.0 if device == CPU else 0.0
-        return self.execute_series(
-            series,
-            [ratio] * series.n_steps,
-            pipelined=False,
-            transfer_input=(device == GPU),
-            transfer_output=(device == GPU),
-        )
-
     def merge_cost(self, n_key_nodes: float, n_rid_nodes: float, table_bytes: float) -> float:
         """CPU-side cost of merging a partial hash table (separate tables / DD
         on the discrete architecture)."""

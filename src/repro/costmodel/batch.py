@@ -799,7 +799,7 @@ class SharedEstimateCache(EstimateCache):
 #: plan service, so repeated planning of similar workloads warms up across
 #: call sites instead of each caller paying for a private throwaway cache.
 _SHARED_CACHE: SharedEstimateCache | None = None
-_SHARED_CACHE_LOCK = make_lock("shared-cache-init")
+_SHARED_CACHE_LOCK = make_lock("shared-estimate-cache-init")
 
 #: Default bound of the process-wide cache; smaller than a private cache's
 #: default because it lives for the whole process.
@@ -829,7 +829,7 @@ def _reset_shared_cache_after_fork() -> None:
     # cache's own lock likewise.  Dropping both makes first use in the child
     # rebuild a private cache instead of deadlocking on ghosts.
     global _SHARED_CACHE, _SHARED_CACHE_LOCK
-    _SHARED_CACHE_LOCK = make_lock("shared-cache-init")
+    _SHARED_CACHE_LOCK = make_lock("shared-estimate-cache-init")
     _SHARED_CACHE = None
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .abstract import StepCost, estimate_series
-from .batch import EstimateCache, estimate_series_batch, shared_estimate_cache
+from .batch import EstimateCache, shared_estimate_cache
 
 #: Measurement callback: ratios -> measured (simulated) seconds.
 MeasureFn = Callable[[Sequence[float]], float]
@@ -118,7 +118,6 @@ def run_monte_carlo(
     seed: int = 2013,
     delta: float = 0.02,
     cache: EstimateCache | None = None,
-    use_shared_cache: bool = True,
 ) -> MonteCarloStudy:
     """Run the Figure 9 experiment.
 
@@ -128,16 +127,12 @@ def run_monte_carlo(
     model-side cost of the study is a single ``estimate_series_batch`` call.
     The batch goes through ``cache`` when given — or, by default, through the
     process-wide :func:`shared_estimate_cache`, so repeated studies over the
-    same calibrated steps reuse their rows; ``use_shared_cache=False``
-    restores the uncached direct engine call.
+    same calibrated steps reuse their rows.
     """
     vectors = sample_ratio_vectors(len(steps), n_samples, seed=seed, delta=delta)
-    if cache is None and use_shared_cache:
+    if cache is None:
         cache = shared_estimate_cache()
-    if cache is not None:
-        estimated_totals = cache.totals(steps, vectors)
-    else:
-        estimated_totals = estimate_series_batch(steps, vectors).total_s
+    estimated_totals = cache.totals(steps, vectors)
     measured_times = [measure(ratios) for ratios in vectors]
     samples = [
         MonteCarloSample(

@@ -35,6 +35,12 @@ from .batch import EstimateCache, as_ratio_matrix, batch_totals, steps_fingerpri
 
 #: Ratio granularity used by the paper.
 DEFAULT_DELTA = 0.02
+#: PL coordinate descent: at most this many rounds per start vector.
+PL_MAX_ROUNDS = 6
+#: PL series of at most this many steps get one more start: the best vector
+#: of an exhaustive search over a coarse grid of step PL_EXHAUSTIVE_DELTA.
+PL_EXHAUSTIVE_LIMIT = 3
+PL_EXHAUSTIVE_DELTA = 0.1
 
 
 class OptimizerError(ValueError):
@@ -271,26 +277,19 @@ class _DescentState:
         "accepts",
         "done",
         "_grid",
-        "_max_rounds",
         "_next_coord",
         "_improved",
         "_columns",
         "_segment_start",
     )
 
-    def __init__(
-        self,
-        start: Sequence[float],
-        grid: np.ndarray,
-        max_rounds: int,
-    ) -> None:
+    def __init__(self, start: Sequence[float], grid: np.ndarray) -> None:
         self.ratios = [float(np.clip(r, 0.0, 1.0)) for r in start]
         self.current_total: float | None = None
-        self.rounds = 1 if max_rounds >= 1 else 0
+        self.rounds = 1
         self.accepts = 0
-        self.done = max_rounds < 1
+        self.done = False
         self._grid = grid
-        self._max_rounds = max_rounds
         self._next_coord = 0
         self._improved = False
         self._columns: list[np.ndarray] = []
@@ -299,14 +298,10 @@ class _DescentState:
     def prepare_segment(self) -> None:
         """Fix the columns of the next segment against the current base."""
         self._segment_start = self._next_coord
-        if self.done:
-            # max_rounds < 1: only the start vector itself is evaluated.
-            self._columns = []
-        else:
-            self._columns = [
-                self._grid[self._grid != self.ratios[j]]
-                for j in range(self._next_coord, len(self.ratios))
-            ]
+        self._columns = [
+            self._grid[self._grid != self.ratios[j]]
+            for j in range(self._next_coord, len(self.ratios))
+        ]
 
     def build_segment(self) -> np.ndarray:
         """Trial rows for the remaining coordinates of this round.
@@ -333,8 +328,6 @@ class _DescentState:
         if self.current_total is None:
             self.current_total = float(totals[0])
             offset = 1
-            if self.done:  # max_rounds < 1: only the start estimate was needed
-                return
         # Per-column minima in one vectorized pass: a column whose minimum
         # cannot beat the strict-improvement threshold is skipped without
         # the per-candidate Python scan (the overwhelmingly common case once
@@ -374,7 +367,7 @@ class _DescentState:
             self._finish_round()
 
     def _finish_round(self) -> None:
-        if self._improved and self.rounds < self._max_rounds:
+        if self._improved and self.rounds < PL_MAX_ROUNDS:
             self.rounds += 1
             self._improved = False
             self._next_coord = 0
@@ -385,9 +378,6 @@ class _DescentState:
 def pl_descent_plan(
     steps: Sequence[StepCost],
     delta: float = DEFAULT_DELTA,
-    max_rounds: int = 6,
-    exhaustive_limit: int = 3,
-    exhaustive_delta: float = 0.1,
 ) -> Generator[np.ndarray, np.ndarray, tuple[list[float], dict[str, Any]]]:
     """The PL optimisation as a resumable evaluation plan (a generator).
 
@@ -426,14 +416,14 @@ def pl_descent_plan(
         balanced.append(float(s.gpu_unit_s / denom) if denom > 0 else 0.5)
     starts.append(balanced)
 
-    if n <= exhaustive_limit:
-        coarse = ratio_grid(exhaustive_delta)
+    if n <= PL_EXHAUSTIVE_LIMIT:
+        coarse = ratio_grid(PL_EXHAUSTIVE_DELTA)
         assignments = np.array(list(product(coarse, repeat=n)), dtype=np.float64)
         totals = yield assignments
         yields += 1
         starts.append(assignments[int(np.argmin(totals))].tolist())
 
-    states = [_DescentState(start, grid, max_rounds) for start in starts]
+    states = [_DescentState(start, grid) for start in starts]
     # Segment memo: the independent starts routinely converge to the same
     # vector, at which point their no-accept verification rounds would
     # re-evaluate identical trial matrices.  A segment is fully determined
@@ -454,7 +444,7 @@ def pl_descent_plan(
             # Serve every memoised segment immediately; a state may chain
             # through several (e.g. re-verifying a vector another start
             # already verified) before needing fresh rows.
-            while not state.done or state.current_total is None:
+            while not state.done:
                 key = segment_key(state)
                 cached = seen_segments.get(key)
                 if cached is None:
@@ -515,16 +505,13 @@ def drive_plan(
 def optimize_pl(
     steps: Sequence[StepCost],
     delta: float = DEFAULT_DELTA,
-    max_rounds: int = 6,
-    exhaustive_limit: int = 3,
-    exhaustive_delta: float = 0.1,
     cache: EstimateCache | None = None,
     use_batch: bool = True,
     evaluator: SeriesEvaluator | None = None,
 ) -> OptimizationResult:
     """Per-step ratios minimising the estimated series time.
 
-    Short series (``len(steps) <= exhaustive_limit``) are solved with an
+    Short series (``len(steps) <= PL_EXHAUSTIVE_LIMIT``) are solved with an
     exhaustive coarse grid followed by a fine refinement; longer series use
     coordinate descent over the delta grid from several starting points.
 
@@ -548,9 +535,7 @@ def optimize_pl(
     start_evaluations = evaluator.evaluations
 
     if evaluator.use_batch:
-        plan = pl_descent_plan(
-            steps, delta, max_rounds, exhaustive_limit, exhaustive_delta
-        )
+        plan = pl_descent_plan(steps, delta)
         best_ratios, stats = drive_plan(plan, evaluator.totals)
         return OptimizationResult(
             ratios=best_ratios,
@@ -574,8 +559,8 @@ def optimize_pl(
         balanced.append(float(s.gpu_unit_s / denom) if denom > 0 else 0.5)
     candidates.append(balanced)
 
-    if n <= exhaustive_limit:
-        coarse = ratio_grid(exhaustive_delta)
+    if n <= PL_EXHAUSTIVE_LIMIT:
+        coarse = ratio_grid(PL_EXHAUSTIVE_DELTA)
         assignments = np.array(list(product(coarse, repeat=n)), dtype=np.float64)
         totals = evaluator.totals(assignments)
         candidates.append(assignments[int(np.argmin(totals))].tolist())
@@ -587,7 +572,7 @@ def optimize_pl(
         current_total = evaluator.total(ratios)
         improved = True
         rounds = 0
-        while improved and rounds < max_rounds:
+        while improved and rounds < PL_MAX_ROUNDS:
             improved = False
             rounds += 1
             for i in range(n):

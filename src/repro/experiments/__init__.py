@@ -1,6 +1,6 @@
 """Experiment runners: one per table / figure of the paper's evaluation."""
 
-from .common import DEFAULT_TUPLES, PAPER_TUPLES, ExperimentResult, improvement, summarise
+from .common import DEFAULT_TUPLES, PAPER_TUPLES, ExperimentResult, improvement
 from .fig03_breakdown import run_fig03
 from .fig04_unit_costs import calibrate_phj_steps, run_fig04
 from .fig05_06_ratios import run_fig05, run_fig06
@@ -83,5 +83,4 @@ __all__ = [
     "run_table1",
     "run_table3",
     "small_buffer_machine",
-    "summarise",
 ]

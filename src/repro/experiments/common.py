@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
 
 #: Default scaled-down relation size used by the experiment runners: large
 #: enough that the SHJ hash table exceeds the 4 MB shared cache (so the
@@ -115,7 +114,3 @@ def improvement(baseline: float, candidate: float) -> float:
     if baseline <= 0:
         return 0.0
     return (1.0 - candidate / baseline) * 100.0
-
-
-def summarise(results: Iterable[ExperimentResult]) -> str:
-    return "\n".join(result.to_text() for result in results)

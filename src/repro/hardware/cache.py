@@ -45,7 +45,7 @@ class CacheStats:
 
 
 class CacheModel:
-    """Analytical shared-cache model.
+    """Analytical shared cache model.
 
     The miss ratio of random accesses into a structure of ``working_set_bytes``
     is estimated as::
@@ -148,10 +148,6 @@ class SetAssociativeCache:
         self.stats = CacheStats()
         for cache_set in self._sets:
             cache_set.clear()
-
-    @property
-    def resident_lines(self) -> int:
-        return sum(len(s) for s in self._sets)
 
 
 @dataclass

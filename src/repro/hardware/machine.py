@@ -1,6 +1,6 @@
 """Machine models: the coupled APU and the emulated discrete architecture.
 
-A :class:`Machine` bundles the two device timing models with the shared-cache
+A :class:`Machine` bundles the two device timing models with the shared cache
 model, the memory system (zero copy buffer) and, for the discrete
 architecture, the PCI-e bus.  The join executors only talk to a ``Machine``:
 they ask it how long a given amount of work takes on a given device and how
@@ -79,7 +79,6 @@ class Machine:
         device: str,
         stats: WorkStats,
         working_set: WorkingSet | None = None,
-        record_cache: bool = True,
     ) -> TimeBreakdown:
         """Simulated time of executing ``stats`` on ``device``.
 
@@ -87,7 +86,7 @@ class Machine:
         experiments can report miss counts (Table 3).
         """
         env = self.memory_environment(working_set)
-        if record_cache and stats.random_accesses:
+        if stats.random_accesses:
             self.cache.record_accesses(stats.random_accesses, env.miss_ratio)
         return self.device_model(device).elapsed(stats, env)
 

@@ -72,10 +72,6 @@ class DeviceSpec:
         """Peak instructions per second across the whole device."""
         return self.cores * self.ipc * self.clock_ghz * 1e9
 
-    @property
-    def is_gpu(self) -> bool:
-        return self.kind == "gpu"
-
     def scaled(self, **overrides: float) -> "DeviceSpec":
         """Return a copy with some fields overridden (for what-if studies)."""
         return replace(self, **overrides)

@@ -17,8 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..opencl.ndrange import AMD_WAVEFRONT_WIDTH
-from ..opencl.wavefront import grouped_divergence, wavefront_divergence
+from ..opencl.wavefront import (
+    AMD_WAVEFRONT_WIDTH,
+    grouped_divergence,
+    wavefront_divergence,
+)
 from .steps import PerTupleWork, StepExecution
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..hardware.cache import WorkingSet
-from ..opencl.allocator import Arena, MemoryAllocator, make_allocator
+from ..opencl.allocator import MemoryAllocator, make_allocator
 from ..opencl.atomics import LatchTable, concurrent_hardware_threads
 from .result import JoinResult
 
@@ -194,12 +194,6 @@ class HashTable:
     def chain_length(self, bucket: int) -> int:
         """Number of key nodes in one bucket's key list."""
         return int(self.bucket_key_count[bucket])
-
-    def bucket_of_key(self, key: int) -> int | None:
-        nodes = self._lookup_nodes(np.asarray([int(key)], dtype=np.int64))
-        if nodes[0] < 0:
-            return None
-        return int(self.key_node_bucket[int(nodes[0])])
 
     def latch_conflict_ratio(self, device_kind: str) -> float:
         """Bucket-latch contention observed so far on one device kind."""
@@ -421,9 +415,7 @@ class HashTable:
 
         ``new_buckets`` must arrive grouped (all nodes of one bucket
         consecutive) in the order the nodes should chain up — the
-        ``(bucket, key)``-sorted group order both :meth:`bulk_insert` and
-        :meth:`_bulk_merge` produce.  This is the single implementation of
-        the b3 chain-append kernel, so the two callers cannot drift.
+        ``(bucket, key)``-sorted group order :meth:`bulk_insert` produces.
         """
         n_new = new_keys.shape[0]
         self._ensure_key_capacity(n_new)
@@ -563,135 +555,12 @@ class HashTable:
         return result, work
 
     # ------------------------------------------------------------------
-    # Merging (separate hash tables on DD / the discrete architecture)
-    # ------------------------------------------------------------------
-    def merge_from(self, other: "HashTable", use_bulk: bool = True) -> dict[str, float]:
-        """Merge another partial table into this one.
-
-        Returns the merge work (node copies and pointer fixes) that the DD
-        scheme with *separate* hash tables must pay; with a shared hash table
-        this operation disappears (Section 5.2, Figure 10).
-
-        The default path gathers the other table's ``(key, rid)`` pairs from
-        its CSR view and applies them with one vectorised :meth:`bulk_insert`
-        pass.  ``use_bulk=False`` keeps the historical per-bucket/per-node
-        chain walk as the bit-matched reference: both paths feed
-        :meth:`bulk_insert` tuple sequences that agree within every
-        ``(bucket, key)`` group, so the resulting chains, counters and
-        returned work dict are identical.
-        """
-        if other.n_buckets != self.n_buckets:
-            raise HashTableError("cannot merge tables with different bucket counts")
-        n_keys = other.n_key_nodes
-        n_rids = other.n_rid_nodes
-        if n_rids == 0:
-            return {"key_nodes": 0.0, "rid_nodes": 0.0, "bytes": 0.0}
-
-        # Re-attach the other table's tuples under this table's chains.  The
-        # logical effect is identical to having inserted them here directly.
-        if use_bulk:
-            self._bulk_merge(other)
-        else:
-            owners = other.rid_node_owner[:n_rids]
-            keys = other.key_node_key[owners]
-            rids = other.rid_node_rid[:n_rids]
-            # Recover bucket numbers from the other table's chains: a key's
-            # bucket is where its key node was chained.
-            key_to_bucket = np.empty(other.n_key_nodes, dtype=np.int64)
-            for bucket in range(other.n_buckets):
-                node = other.bucket_head[bucket]
-                while node != -1:
-                    key_to_bucket[node] = bucket
-                    node = other.key_node_next[node]
-            buckets = key_to_bucket[owners]
-            self.bulk_insert(keys, rids, buckets)
-
-        return {
-            "key_nodes": float(n_keys),
-            "rid_nodes": float(n_rids),
-            "bytes": float(n_keys * KEY_NODE_BYTES + n_rids * RID_NODE_BYTES),
-        }
-
-    def _bulk_merge(self, other: "HashTable") -> None:
-        """Apply all of ``other``'s tuples in one node-level vectorised pass.
-
-        :meth:`bulk_insert` must sort, group and work-account *tuples*; a
-        merge already knows the groups — they are exactly the other table's
-        key nodes, and its CSR view holds every group's rid segment
-        contiguously.  Sorting the ``nk`` key nodes by ``(bucket, key)`` and
-        expanding their rid segments reproduces bit-for-bit the tuple order
-        the generic path's lexsort would produce (groups are unique per
-        ``(bucket, key)``, segment interiors keep CSR order), so every node
-        array, counter and allocator statistic ends up identical — while the
-        per-tuple work arrays (which a merge discards) are never built.
-        """
-        nk = other.n_key_nodes
-        n = other.n_rid_nodes
-        if other._csr_dirty:
-            other._rebuild_csr()
-        seg_counts = np.diff(other._csr_offsets)
-
-        # Group arrays sorted by (bucket, key) — what the generic lexsort
-        # would compute from the expanded tuples.
-        node_order = np.lexsort(
-            (other.key_node_key[:nk], other.key_node_bucket[:nk])
-        )
-        group_keys = other.key_node_key[:nk][node_order]
-        group_buckets = other.key_node_bucket[:nk][node_order]
-        group_sizes = seg_counts[node_order]
-
-        # Expand the rid segments into the grouped order.
-        out_offsets = np.concatenate(([0], np.cumsum(group_sizes)))
-        src_starts = other._csr_offsets[:-1][node_order]
-        flat = (
-            np.arange(n)
-            - np.repeat(out_offsets[:-1], group_sizes)
-            + np.repeat(src_starts, group_sizes)
-        )
-        s_rids = other._csr_rids[flat]
-
-        existing_nodes = self._lookup_nodes(group_keys)
-        is_new = existing_nodes < 0
-        n_new = int(is_new.sum())
-
-        # b2-equivalent: one bucket-header visit (and latch) per tuple.
-        np.add.at(self.bucket_tuple_count, group_buckets, group_sizes)
-        np.add.at(self.latches.acquisitions, group_buckets, group_sizes)
-
-        # b3-equivalent: append the unmatched key nodes to their buckets'
-        # chains — the shared chain-append kernel, on node-level arrays.
-        group_node = existing_nodes.copy()
-        if n_new:
-            group_node[is_new] = self._append_key_nodes(
-                group_keys[is_new], group_buckets[is_new]
-            )
-
-        # b4-equivalent: copy the rid segments wholesale.  Rid ids are
-        # consecutive in grouped order, so intra-segment chaining is just
-        # ``id + 1``; segment tails point at the owners' previous heads.
-        self._ensure_rid_capacity(n)
-        self.allocator.bulk_allocate(n, RID_NODE_BYTES, n_groups=max(1, n // 256))
-        start = self.n_rid_nodes
-        rid_ids = start + np.arange(n, dtype=np.int64)
-        self.rid_node_rid[start : start + n] = s_rids
-        self.rid_node_owner[start : start + n] = np.repeat(group_node, group_sizes)
-        next_rid = rid_ids + 1
-        next_rid[out_offsets[1:] - 1] = self.key_node_rid_head[group_node]
-        self.rid_node_next[start : start + n] = next_rid
-        self.key_node_rid_head[group_node] = rid_ids[out_offsets[:-1]]
-        np.add.at(self.key_node_rid_count, group_node, group_sizes)
-        self.n_rid_nodes += n
-        self._csr_dirty = True
-
-    # ------------------------------------------------------------------
-    def validate(self, use_bulk: bool = True) -> None:
+    def validate(self) -> None:
         """Internal consistency checks used by tests and property-based tests.
 
-        The default path verifies the chain structure with vectorised
-        array comparisons over the node arrays (the same view the CSR merge
-        gathers from); ``use_bulk=False`` keeps the historical per-bucket
-        chain walk as the reference.  Both raise on the same corruption
-        classes (wrong counts, broken or cyclic chains, unreachable nodes).
+        Raises on wrong counts, broken or cyclic chains and nodes that are
+        unreachable from their bucket heads, with vectorised comparisons
+        over the node arrays.
         """
         if int(self.bucket_key_count.sum()) != self.n_key_nodes:
             raise HashTableError("bucket key counts do not sum to the key node count")
@@ -699,9 +568,6 @@ class HashTable:
             raise HashTableError("bucket tuple counts do not sum to the rid node count")
         if int(self.key_node_rid_count[: self.n_key_nodes].sum()) != self.n_rid_nodes:
             raise HashTableError("key node rid counts do not sum to the rid node count")
-        if not use_bulk:
-            self._validate_chains_scalar()
-            return
 
         # Every chain must be reachable and contain exactly bucket_key_count
         # nodes.  A chain is healthy iff, per bucket, the live nodes' chain
@@ -740,25 +606,6 @@ class HashTable:
         last = np.append(starts[1:], nk) - 1
         if not np.array_equal(self.bucket_tail[sorted_buckets[last]], nodes_sorted[last]):
             raise HashTableError("bucket tails do not point at the last chain node")
-
-    def _validate_chains_scalar(self) -> None:
-        """Reference chain walk (the pre-kernel validate loop)."""
-        seen = 0
-        for bucket in range(self.n_buckets):
-            node = self.bucket_head[bucket]
-            count = 0
-            while node != -1:
-                count += 1
-                node = self.key_node_next[node]
-                if count > self.n_key_nodes:
-                    raise HashTableError("cycle detected in a key chain")
-            if count != self.bucket_key_count[bucket]:
-                raise HashTableError(
-                    f"bucket {bucket} chain length {count} != recorded {self.bucket_key_count[bucket]}"
-                )
-            seen += count
-        if seen != self.n_key_nodes:
-            raise HashTableError("some key nodes are unreachable from bucket heads")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

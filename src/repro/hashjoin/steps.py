@@ -28,8 +28,7 @@ import numpy as np
 
 from ..hardware.cache import WorkingSet
 from ..hardware.workstats import WorkProfile, WorkStats
-from ..opencl.ndrange import AMD_WAVEFRONT_WIDTH
-from ..opencl.wavefront import wavefront_divergence
+from ..opencl.wavefront import AMD_WAVEFRONT_WIDTH, wavefront_divergence
 
 #: Most :class:`WorkStats` one :class:`PerTupleWork` memoises.  A Monte
 #: Carlo step on the 0.02 ratio grid needs about 102 (51 cuts x 2 sides).

@@ -9,67 +9,26 @@ from .allocator import (
     MemoryAllocator,
     make_allocator,
 )
-from .atomics import (
-    AtomicCounter,
-    AtomicStats,
-    Latch,
-    LatchTable,
-    concurrent_hardware_threads,
-    contention_ratio,
-)
-from .kernel import Kernel, KernelBody, LaunchResult, WorkItemReport
-from .memory import (
-    AccessCounters,
-    GlobalBuffer,
-    LocalBuffer,
-    LocalMemoryExceededError,
-)
-from .ndrange import (
-    AMD_WAVEFRONT_WIDTH,
-    DEFAULT_CPU_WORK_GROUP,
-    DEFAULT_GPU_WORK_GROUP,
-    NVIDIA_WARP_WIDTH,
-    NDRange,
-    NDRangeError,
-    WorkItemId,
-)
+from .atomics import LatchTable, concurrent_hardware_threads, contention_ratio
 from .wavefront import (
+    AMD_WAVEFRONT_WIDTH,
     DivergenceReport,
-    divergence_factor,
     grouped_divergence,
     wavefront_divergence,
 )
 
 __all__ = [
     "AMD_WAVEFRONT_WIDTH",
-    "AccessCounters",
     "AllocatorStats",
     "Arena",
     "ArenaExhaustedError",
-    "AtomicCounter",
-    "AtomicStats",
     "BasicAllocator",
     "BlockAllocator",
-    "DEFAULT_CPU_WORK_GROUP",
-    "DEFAULT_GPU_WORK_GROUP",
     "DivergenceReport",
-    "GlobalBuffer",
-    "Kernel",
-    "KernelBody",
-    "Latch",
     "LatchTable",
-    "LaunchResult",
-    "LocalBuffer",
-    "LocalMemoryExceededError",
     "MemoryAllocator",
-    "NDRange",
-    "NDRangeError",
-    "NVIDIA_WARP_WIDTH",
-    "WorkItemId",
-    "WorkItemReport",
     "concurrent_hardware_threads",
     "contention_ratio",
-    "divergence_factor",
     "grouped_divergence",
     "make_allocator",
     "wavefront_divergence",

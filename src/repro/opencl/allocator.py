@@ -18,9 +18,9 @@ they issue so the device model can charge latch time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .atomics import AtomicCounter, concurrent_hardware_threads, contention_ratio
+from .atomics import concurrent_hardware_threads, contention_ratio
 
 
 class ArenaExhaustedError(RuntimeError):
@@ -50,17 +50,19 @@ class AllocatorStats:
 
 
 class Arena:
-    """A pre-allocated byte arena shared by all work groups."""
+    """A pre-allocated byte arena shared by all work groups.
+
+    Its free pointer lives in global memory and every advance is one global
+    ``atomic_add``, so the arena keeps two counters: the pointer itself
+    (``used_bytes``) and the number of global atomics issued on it.
+    """
 
     def __init__(self, capacity_bytes: int) -> None:
         if capacity_bytes <= 0:
             raise ValueError("capacity_bytes must be positive")
         self.capacity_bytes = capacity_bytes
-        self._free_pointer = AtomicCounter(0, scope=AtomicCounter.GLOBAL)
-
-    @property
-    def used_bytes(self) -> int:
-        return self._free_pointer.load()
+        self.used_bytes = 0
+        self.global_atomics = 0
 
     @property
     def free_bytes(self) -> int:
@@ -75,11 +77,10 @@ class Arena:
                 f"arena exhausted: requested {nbytes} bytes, "
                 f"{self.free_bytes} of {self.capacity_bytes} free"
             )
-        return self._free_pointer.add(nbytes)
-
-    @property
-    def global_atomics(self) -> int:
-        return self._free_pointer.stats.global_ops
+        previous = self.used_bytes
+        self.used_bytes += int(nbytes)
+        self.global_atomics += 1
+        return previous
 
     def absorb(self, nbytes: int, n_bumps: int) -> None:
         """Replay ``n_bumps`` pointer advances totalling ``nbytes`` at once.
@@ -96,11 +97,11 @@ class Arena:
                 raise ValueError("cannot absorb bytes without any bumps")
             return
         self.bump(nbytes)
-        self._free_pointer.stats.global_ops += n_bumps - 1
+        self.global_atomics += n_bumps - 1
 
     def reset(self) -> None:
-        self._free_pointer.reset(0)
-        self._free_pointer.stats.global_ops = 0
+        self.used_bytes = 0
+        self.global_atomics = 0
 
 
 class MemoryAllocator:

@@ -1,114 +1,31 @@
-"""Atomic operations, latches and contention estimation.
+"""Latch contention estimation.
 
 OpenCL 1.2 has no dynamic memory allocation and no mutexes inside kernels;
 the paper therefore builds latches from ``atomic_add`` (Section 3.3, "Memory
 allocator") both in global and in local memory.  This module provides:
 
-* functional atomic counters / latches whose operation counts feed the device
-  timing model, and
+* :class:`LatchTable`, the per-bucket latch acquisition counts of a hash
+  table build, whose concentration gives the observed contention, and
 * an analytical contention estimator that turns "how many threads hammer how
   many distinct latch words" into the conflict ratio consumed by
   :meth:`repro.hardware.device.DeviceModel.atomic_time`.
+
+The software allocators (:mod:`repro.opencl.allocator`) count their own
+global and local atomics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
-
-
-@dataclass
-class AtomicStats:
-    """Counts of atomic operations issued against one scope."""
-
-    global_ops: int = 0
-    local_ops: int = 0
-
-    def merge(self, other: "AtomicStats") -> "AtomicStats":
-        return AtomicStats(
-            global_ops=self.global_ops + other.global_ops,
-            local_ops=self.local_ops + other.local_ops,
-        )
-
-
-class AtomicCounter:
-    """An ``atomic_add`` counter living in global or local memory."""
-
-    GLOBAL = "global"
-    LOCAL = "local"
-
-    def __init__(self, initial: int = 0, scope: str = GLOBAL) -> None:
-        if scope not in (self.GLOBAL, self.LOCAL):
-            raise ValueError(f"scope must be 'global' or 'local', got {scope!r}")
-        self.value = int(initial)
-        self.scope = scope
-        self.stats = AtomicStats()
-
-    def add(self, amount: int = 1) -> int:
-        """Atomically add ``amount``; returns the *previous* value (OpenCL semantics)."""
-        previous = self.value
-        self.value += int(amount)
-        if self.scope == self.GLOBAL:
-            self.stats.global_ops += 1
-        else:
-            self.stats.local_ops += 1
-        return previous
-
-    def load(self) -> int:
-        return self.value
-
-    def reset(self, value: int = 0) -> None:
-        self.value = int(value)
-
-
-class Latch:
-    """A spin latch built from an atomic word, protecting one object.
-
-    Only the *accounting* matters for the simulator — acquisition always
-    succeeds immediately because execution is sequential — but every
-    acquire/release pair is recorded so the caller can charge atomic costs and
-    estimate contention.
-    """
-
-    def __init__(self, scope: str = AtomicCounter.GLOBAL) -> None:
-        self._counter = AtomicCounter(scope=scope)
-        self.acquisitions = 0
-        self.held = False
-
-    def acquire(self) -> None:
-        if self.held:
-            raise RuntimeError("latch is not re-entrant")
-        self._counter.add(1)
-        self.acquisitions += 1
-        self.held = True
-
-    def release(self) -> None:
-        if not self.held:
-            raise RuntimeError("latch released without being held")
-        self._counter.add(-1)
-        self.held = False
-
-    def __enter__(self) -> "Latch":
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.release()
-
-    @property
-    def stats(self) -> AtomicStats:
-        return self._counter.stats
 
 
 class LatchTable:
     """A family of latches, one per protected object (e.g. one per hash bucket)."""
 
-    def __init__(self, n_latches: int, scope: str = AtomicCounter.GLOBAL) -> None:
+    def __init__(self, n_latches: int) -> None:
         if n_latches <= 0:
             raise ValueError("n_latches must be positive")
         self.n_latches = n_latches
-        self.scope = scope
         self.acquisitions = np.zeros(n_latches, dtype=np.int64)
 
     def acquire_release(self, index: int) -> None:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ndrange import AMD_WAVEFRONT_WIDTH
+#: AMD executes 64 work items per wavefront (the terminology used in the paper).
+AMD_WAVEFRONT_WIDTH = 64
 
 
 @dataclass(frozen=True)
@@ -106,15 +107,3 @@ def grouped_divergence(
     report = wavefront_divergence(workloads[order], width)
     return report, order
 
-
-def divergence_factor(
-    workloads: np.ndarray,
-    width: int = AMD_WAVEFRONT_WIDTH,
-    grouped: bool = False,
-    n_groups: int = 32,
-) -> float:
-    """Convenience wrapper returning only the divergence fraction in [0, 1]."""
-    if grouped:
-        report, _ = grouped_divergence(workloads, width=width, n_groups=n_groups)
-        return report.divergence
-    return wavefront_divergence(workloads, width=width).divergence

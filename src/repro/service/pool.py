@@ -16,13 +16,14 @@ pre-fork architecture on top of the existing transport:
   worker that dies is reaped and respawned by the router on the next
   routing attempt, so the pool degrades by one connection, not permanently
   by one worker.
-* **shared admission** makes the fleet behave like one server: with a
-  ``cache_store`` and an admission rate, every worker debits the same
-  SQLite token buckets (:class:`~repro.service.admission.AdmissionStore`)
-  via the scheduler's ``admission_controller`` hook — a client's rate limit
-  holds fleet-wide, not per worker.  Fair-queuing weights are replicated
-  into every worker from the same config, so relative service within any
-  worker matches the configured ratios.
+* **shared admission** makes the fleet behave like one server: with an
+  admission rate, every worker debits the same SQLite token buckets
+  (:class:`~repro.service.admission.AdmissionStore`) via the scheduler's
+  ``admission_controller`` hook — a client's rate limit holds fleet-wide,
+  not per worker.  Without a ``cache_store`` the router keeps the database
+  in a transient directory for the length of the run.  Fair-queuing
+  weights are replicated into every worker from the same config, so
+  relative service within any worker matches the configured ratios.
 
 Shutdown is structured end to end: SIGTERM/SIGINT set the router's stop
 event (one that arrives during start-up is held until the loop runs); the
@@ -42,9 +43,11 @@ from __future__ import annotations
 import asyncio
 import functools
 import os
+import shutil
 import signal
 import socket
 import sqlite3
+import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
@@ -80,8 +83,9 @@ class PoolConfig:
 
     The scheduler knobs mirror :class:`MicroBatchScheduler`; ``cache_store``
     is the path of the SQLite admission database every worker shares when
-    ``admission_rate`` is set (``None`` gives every worker its own
-    in-process token buckets, which admit ``workers × rate`` fleet-wide).
+    ``admission_rate`` is set.  Left ``None``, a pool of several workers
+    creates a transient one for the run (:meth:`WorkerPool.run_forever`),
+    and a single-process server keeps its token buckets in process.
     """
 
     workers: int = 2
@@ -325,13 +329,26 @@ class WorkerPool:
         spawned — the moment a client may connect (the CLI prints its
         "listening on" lines from here; tests grab the resolved TCP port).
 
-        A SIGTERM/SIGINT from before the bind until ``_serve`` installs its
-        handlers is held and drains once the loop runs, like a later one,
-        instead of taking the default action and leaving the socket file
-        and the admission directory behind.
+        Per-worker token buckets would admit ``workers × rate``, so a pool
+        of several workers with an admission rate but no ``cache_store``
+        shares one admission database in a transient ``repro-serve-*``
+        directory, removed when the pool stops.
+
+        A SIGTERM/SIGINT from before that directory exists until ``_serve``
+        installs its handlers is held and drains once the loop runs, like a
+        later one, instead of taking the default action and leaving the
+        socket file and the admission directory behind.
         """
         self._hold_stop_signals()
+        transient: str | None = None
         try:
+            if (
+                self.config.admission_rate is not None
+                and self.config.workers > 1
+                and not self.config.cache_store
+            ):
+                transient = tempfile.mkdtemp(prefix="repro-serve-")
+                self.config.cache_store = os.path.join(transient, "admission.db")
             try:
                 self._bind_listeners()
                 for index in range(self.config.workers):
@@ -342,6 +359,9 @@ class WorkerPool:
                 raise
             return asyncio.run(self._serve(on_ready))
         finally:
+            if transient is not None:
+                shutil.rmtree(transient, ignore_errors=True)
+                self.config.cache_store = None
             self._restore_stop_signals()
 
     def _hold_stop_signals(self) -> None:

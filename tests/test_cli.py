@@ -33,6 +33,20 @@ class TestParser:
         assert args.scheme == "PL"
         assert args.architecture == "coupled"
 
+    def test_lint_help_names_every_registered_checker(self, capsys, monkeypatch):
+        from repro.analysis import all_checkers
+
+        monkeypatch.setenv("COLUMNS", "1000")  # one help line per command
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        (lint_help,) = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.split()[:1] == ["lint"]
+        ]
+        for checker_id in all_checkers():
+            assert checker_id in lint_help
+        assert "wire" not in lint_help
+
 
 class TestCommands:
     def test_list_outputs_all_experiments(self, capsys):
@@ -209,7 +223,6 @@ class TestPlanCommand:
         args = build_parser().parse_args(["plan", "w.json"])
         assert args.format == "text"
         assert args.output is None
-        assert not args.shared_cache
 
 
 class TestPlanCommandErrorPaths:
@@ -578,6 +591,34 @@ class TestServeSigterm:
             "        os.kill(os.getpid(), signal.SIGTERM)\n"
             "    return spawn(self, index)\n"
             "WorkerPool._spawn_worker = sigterm_then_spawn\n"
+            f"sys.exit(main(['serve', '--unix', {sock_path!r},"
+            " '--workers', '2', '--rate', '10']))\n"
+        )
+        proc = self._spawn_python("-c", script, tmpdir=tmp_path)
+        try:
+            _, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, err
+        assert "plan server stopped" in err
+        assert not os.path.exists(sock_path)
+        assert list(tmp_path.glob("repro-serve-*")) == []
+
+    def test_sigterm_right_after_the_admission_directory_is_made(self, tmp_path):
+        """A SIGTERM sent the moment the transient admission directory
+        exists must drain the pool and remove the directory."""
+        sock_path = os.path.join(tmp_path, "pool.sock")
+        script = (
+            "import os, signal, sys, tempfile\n"
+            "from repro.cli import main\n"
+            "mkdtemp = tempfile.mkdtemp\n"
+            "def mkdtemp_then_sigterm(*args, **kwargs):\n"
+            "    path = mkdtemp(*args, **kwargs)\n"
+            "    os.kill(os.getpid(), signal.SIGTERM)\n"
+            "    return path\n"
+            "tempfile.mkdtemp = mkdtemp_then_sigterm\n"
             f"sys.exit(main(['serve', '--unix', {sock_path!r},"
             " '--workers', '2', '--rate', '10']))\n"
         )

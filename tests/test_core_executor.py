@@ -38,7 +38,7 @@ class TestExecutor:
     def test_cpu_only_has_no_gpu_time(self, shj_series):
         build, _ = shj_series
         executor = CoProcessingExecutor(coupled_machine())
-        timing = executor.execute_single_device(build, "cpu")
+        timing = executor.execute_series(build, [1.0] * build.n_steps, pipelined=False)
         assert timing.gpu_total_s == 0.0
         assert timing.cpu_total_s > 0.0
         assert timing.elapsed_s == pytest.approx(timing.cpu_total_s)
@@ -46,7 +46,7 @@ class TestExecutor:
     def test_gpu_only_has_no_cpu_time(self, shj_series):
         build, _ = shj_series
         executor = CoProcessingExecutor(coupled_machine())
-        timing = executor.execute_single_device(build, "gpu")
+        timing = executor.execute_series(build, [0.0] * build.n_steps, pipelined=False)
         assert timing.cpu_total_s == 0.0
 
     def test_split_ratio_balances_devices(self, shj_series):
@@ -101,7 +101,7 @@ class TestExecutor:
         machine = discrete_machine()
         executor = CoProcessingExecutor(machine)
         ratios = [0.2, 0.8, 0.1, 0.1]  # one increase, one decrease, one plateau
-        executor.execute_series(build, ratios, transfer_input=False, transfer_output=False)
+        executor.execute_series(build, ratios)
         intermediates = [
             t for t in machine.bus.transfers if t.label.endswith(":intermediate")
         ]
@@ -114,10 +114,11 @@ class TestExecutor:
         build, _ = shj_series
         machine = discrete_machine()
         executor = CoProcessingExecutor(machine)
-        executor.execute_series(
-            build, [0.0, 1.0, 0.0, 1.0], transfer_input=False, transfer_output=False
-        )
-        directions = machine.bus.seconds_by_direction()
+        executor.execute_series(build, [0.0, 1.0, 0.0, 1.0])
+        directions = {"h2d": 0.0, "d2h": 0.0}
+        for t in machine.bus.transfers:
+            if t.label.endswith(":intermediate"):
+                directions[t.direction] += t.seconds
         assert directions["d2h"] > 0.0  # the two CPU-share increases
         assert directions["h2d"] > 0.0  # the CPU-share decrease
 
@@ -241,15 +242,6 @@ class TestBasicUnit:
         run = scheduler.schedule([build, probe])
         ratios = run.ratios_by_phase()
         assert set(ratios) == {"build", "probe"}
-
-    def test_as_phase_timing_adapter(self, shj_series):
-        build, _ = shj_series
-        scheduler = BasicUnitScheduler(coupled_machine(), cpu_chunk_tuples=500,
-                                       gpu_chunk_tuples=500)
-        timing = scheduler.as_phase_timing(build)
-        assert timing.phase == "build"
-        assert len(timing.steps) == 4
-        assert timing.elapsed_s > 0.0
 
     def test_invalid_chunk_sizes(self):
         with pytest.raises(Exception):

@@ -167,25 +167,6 @@ class TestBulkProbe:
 
 
 class TestMergeAndWorkingSet:
-    def test_merge_combines_tables(self):
-        keys_a, keys_b = np.arange(0, 50), np.arange(50, 100)
-        table_a = build_table(keys_a, n_buckets=16)
-        table_b = build_table(keys_b, n_buckets=16)
-        stats = table_a.merge_from(table_b)
-        assert stats["rid_nodes"] == 50
-        assert table_a.n_rid_nodes == 100
-        table_a.validate()
-        # Every key from both halves must now be probeable in table_a.
-        probe_keys = np.arange(100)
-        result, _ = table_a.bulk_probe(probe_keys, probe_keys, bucket_of(probe_keys, 16))
-        assert result.match_count == 100
-
-    def test_merge_rejects_mismatched_buckets(self):
-        table_a = build_table(np.arange(10), n_buckets=8)
-        table_b = build_table(np.arange(10), n_buckets=16)
-        with pytest.raises(HashTableError):
-            table_a.merge_from(table_b)
-
     def test_nbytes_grows_with_content(self):
         empty = HashTable(n_buckets=16, allocator=make_allocator("block"))
         filled = build_table(np.arange(100), n_buckets=16)

@@ -4,10 +4,6 @@ Every kernel introduced by the vectorized execution layer keeps its scalar
 predecessor as a togglable reference path, and this suite pins the two at
 *bit* equality, not tolerance:
 
-* ``HashTable.merge_from`` — the CSR bulk merge produces the identical node
-  arrays, chain structure, counters, allocator statistics and returned work
-  dict as the per-bucket/per-node reference walk, for duplicate keys,
-  single-bucket tables, repeated merges and merge-after-probe states.
 * ``final_partition_ids`` / ``execute_partition_phase`` — the fused
   single-hash kernel equals the per-pass loop for every (bits, passes)
   configuration, including allocator accounting.
@@ -47,16 +43,6 @@ SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-BUCKET_ARRAYS = ("bucket_tuple_count", "bucket_key_count", "bucket_head", "bucket_tail")
-KEY_ARRAYS = (
-    "key_node_key",
-    "key_node_next",
-    "key_node_rid_head",
-    "key_node_rid_count",
-    "key_node_chain_pos",
-    "key_node_bucket",
-)
-RID_ARRAYS = ("rid_node_rid", "rid_node_next", "rid_node_owner")
 WORK_QUANTITIES = (
     "instructions",
     "random_accesses",
@@ -66,33 +52,14 @@ WORK_QUANTITIES = (
 )
 
 
-def build_table(keys, n_buckets, start_rid=0) -> HashTable:
+def build_table(keys, n_buckets) -> HashTable:
     keys = np.asarray(keys, dtype=np.int64)
     table = HashTable(n_buckets=n_buckets)
     if keys.size:
         table.bulk_insert(
-            keys,
-            np.arange(start_rid, start_rid + keys.size, dtype=np.int64),
-            bucket_of(keys, n_buckets),
+            keys, np.arange(keys.size, dtype=np.int64), bucket_of(keys, n_buckets)
         )
     return table
-
-
-def assert_tables_identical(a: HashTable, b: HashTable) -> None:
-    assert a.n_key_nodes == b.n_key_nodes
-    assert a.n_rid_nodes == b.n_rid_nodes
-    for name in BUCKET_ARRAYS:
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    for name in KEY_ARRAYS:
-        assert np.array_equal(
-            getattr(a, name)[: a.n_key_nodes], getattr(b, name)[: b.n_key_nodes]
-        ), name
-    for name in RID_ARRAYS:
-        assert np.array_equal(
-            getattr(a, name)[: a.n_rid_nodes], getattr(b, name)[: b.n_rid_nodes]
-        ), name
-    assert a.allocator.stats.__dict__ == b.allocator.stats.__dict__
-    assert np.array_equal(a.latches.acquisitions, b.latches.acquisitions)
 
 
 def assert_work_equal(a, b) -> None:
@@ -116,140 +83,31 @@ def assert_series_equal(a: StepSeries, b: StepSeries) -> None:
             assert_work_equal(getattr(ea.work, name), getattr(eb.work, name))
 
 
-# ---------------------------------------------------------------------------
-# CSR bulk merge vs the per-bucket/per-node reference walk
-# ---------------------------------------------------------------------------
-class TestMergeParity:
-    @SETTINGS
-    @given(
-        n_a=st.integers(0, 300),
-        n_b=st.integers(1, 300),
-        key_space=st.integers(1, 60),
-        bucket_bits=st.integers(0, 6),
-        seed=st.integers(0, 10_000),
-    )
-    def test_merge_matches_reference(self, n_a, n_b, key_space, bucket_bits, seed):
-        rng = np.random.default_rng(seed)
-        n_buckets = 1 << bucket_bits
-        keys_a = rng.integers(0, key_space, size=n_a)
-        keys_b = rng.integers(0, key_space, size=n_b)
-
-        bulk_self = build_table(keys_a, n_buckets)
-        bulk_other = build_table(keys_b, n_buckets, start_rid=10_000)
-        ref_self = build_table(keys_a, n_buckets)
-        ref_other = build_table(keys_b, n_buckets, start_rid=10_000)
-
-        stats_bulk = bulk_self.merge_from(bulk_other)
-        stats_ref = ref_self.merge_from(ref_other, use_bulk=False)
-
-        assert stats_bulk == stats_ref
-        assert_tables_identical(bulk_self, ref_self)
-        bulk_self.validate()
-        ref_self.validate(use_bulk=False)
-
-        # Subsequent probes must come out bit-identical too (rid list order
-        # is part of the merge contract).
-        probe_keys = rng.integers(0, key_space, size=64)
-        probe_rids = np.arange(64, dtype=np.int64)
-        buckets = bucket_of(probe_keys, n_buckets)
-        result_bulk, work_bulk = bulk_self.bulk_probe(probe_keys, probe_rids, buckets)
-        result_ref, work_ref = ref_self.bulk_probe(probe_keys, probe_rids, buckets)
-        assert np.array_equal(result_bulk.build_rids, result_ref.build_rids)
-        assert np.array_equal(result_bulk.probe_rids, result_ref.probe_rids)
-        assert np.array_equal(work_bulk.key_nodes_visited, work_ref.key_nodes_visited)
-        assert np.array_equal(work_bulk.matches, work_ref.matches)
-
-    def test_merge_work_dict_accounts_other_table(self):
-        table = build_table(np.array([1, 2, 3, 1]), 8)
-        other = build_table(np.array([2, 2, 9]), 8, start_rid=100)
-        stats = table.merge_from(other)
-        assert stats == {
-            "key_nodes": 2.0,
-            "rid_nodes": 3.0,
-            "bytes": float(2 * 16 + 3 * 8),
-        }
-
-    def test_merge_empty_other_is_free(self):
-        table = build_table(np.arange(10), 8)
-        empty = HashTable(n_buckets=8)
-        assert table.merge_from(empty) == {
-            "key_nodes": 0.0,
-            "rid_nodes": 0.0,
-            "bytes": 0.0,
-        }
-        assert table.n_rid_nodes == 10
-
-    def test_merge_into_empty_self(self):
-        other = build_table(np.array([5, 5, 7]), 4)
-        bulk = HashTable(n_buckets=4)
-        ref = HashTable(n_buckets=4)
-        other_ref = build_table(np.array([5, 5, 7]), 4)
-        bulk.merge_from(other)
-        ref.merge_from(other_ref, use_bulk=False)
-        assert_tables_identical(bulk, ref)
-
-    def test_single_bucket_table(self):
-        keys = np.array([3, 1, 3, 2, 1, 1])
-        bulk_self, ref_self = build_table(keys, 1), build_table(keys, 1)
-        bulk_other = build_table(keys[::-1].copy(), 1, start_rid=50)
-        ref_other = build_table(keys[::-1].copy(), 1, start_rid=50)
-        assert bulk_self.merge_from(bulk_other) == ref_self.merge_from(
-            ref_other, use_bulk=False
-        )
-        assert_tables_identical(bulk_self, ref_self)
-
-    def test_repeated_merges_and_merge_after_probe(self):
-        rng = np.random.default_rng(7)
-        keys = [rng.integers(0, 40, size=120) for _ in range(3)]
-        bulk = build_table(keys[0], 16)
-        ref = build_table(keys[0], 16)
-        for i, batch in enumerate(keys[1:], start=1):
-            bulk_other = build_table(batch, 16, start_rid=1000 * i)
-            ref_other = build_table(batch, 16, start_rid=1000 * i)
-            if i == 2:
-                # A probe cleans the CSR view; merging afterwards must not
-                # change anything.
-                probe = rng.integers(0, 40, size=30)
-                bulk_other.bulk_probe(probe, np.arange(30), bucket_of(probe, 16))
-            bulk.merge_from(bulk_other)
-            ref.merge_from(ref_other, use_bulk=False)
-        assert_tables_identical(bulk, ref)
-        bulk.validate()
-
-    def test_merge_rejects_mismatched_bucket_counts(self):
-        with pytest.raises(HashTableError):
-            build_table(np.arange(4), 8).merge_from(build_table(np.arange(4), 16))
-
-
 class TestVectorizedValidate:
     def test_valid_tables_pass_both_modes(self):
         table = build_table(np.random.default_rng(0).integers(0, 50, 200), 16)
         table.validate()
-        table.validate(use_bulk=False)
 
-    @pytest.mark.parametrize("use_bulk", [True, False])
-    def test_broken_next_pointer_raises(self, use_bulk):
+    def test_broken_next_pointer_raises(self):
         table = build_table(np.arange(64), 4)  # long chains per bucket
         node = int(table.bucket_head[0])
         table.key_node_next[node] = node  # cycle / broken chain
         with pytest.raises(HashTableError):
-            table.validate(use_bulk=use_bulk)
+            table.validate()
 
-    @pytest.mark.parametrize("use_bulk", [True, False])
-    def test_wrong_bucket_key_count_raises(self, use_bulk):
+    def test_wrong_bucket_key_count_raises(self):
         table = build_table(np.arange(32), 8)
         table.bucket_key_count[0] += 1
         table.bucket_key_count[1] -= 1  # keep the sum intact
         with pytest.raises(HashTableError):
-            table.validate(use_bulk=use_bulk)
+            table.validate()
 
-    @pytest.mark.parametrize("use_bulk", [True, False])
-    def test_unreachable_head_raises(self, use_bulk):
+    def test_unreachable_head_raises(self):
         table = build_table(np.arange(32), 8)
         busy = int(np.argmax(table.bucket_key_count))
         table.bucket_head[busy] = -1
         with pytest.raises(HashTableError):
-            table.validate(use_bulk=use_bulk)
+            table.validate()
 
 
 # ---------------------------------------------------------------------------

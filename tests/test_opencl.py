@@ -1,5 +1,5 @@
-"""Tests for the OpenCL-style abstraction: NDRange, wavefronts, atomics,
-allocators, logical memory and the kernel launcher."""
+"""Tests for the OpenCL-style abstraction: wavefronts, latch contention and
+allocators."""
 
 from __future__ import annotations
 
@@ -11,60 +11,15 @@ from repro.opencl import (
     AMD_WAVEFRONT_WIDTH,
     Arena,
     ArenaExhaustedError,
-    AtomicCounter,
     BasicAllocator,
     BlockAllocator,
-    GlobalBuffer,
-    Kernel,
-    Latch,
     LatchTable,
-    LocalBuffer,
-    LocalMemoryExceededError,
-    NDRange,
-    NDRangeError,
-    WorkItemId,
-    WorkItemReport,
     concurrent_hardware_threads,
     contention_ratio,
-    divergence_factor,
     grouped_divergence,
     make_allocator,
     wavefront_divergence,
 )
-
-
-class TestNDRange:
-    def test_work_group_count(self):
-        ndrange = NDRange(global_size=1000, local_size=256)
-        assert ndrange.n_work_groups == 4
-
-    def test_work_groups_cover_range(self):
-        ndrange = NDRange(global_size=10, local_size=4)
-        ids = [i for group in ndrange.work_groups() for i in group]
-        assert ids == list(range(10))
-
-    def test_wavefronts_do_not_span_groups(self):
-        ndrange = NDRange(global_size=100, local_size=48)
-        sizes = [len(w) for w in ndrange.wavefronts(width=64)]
-        assert sizes == [48, 48, 4]
-
-    def test_for_device_defaults(self):
-        assert NDRange.for_device(100, "cpu").local_size == 1
-        assert NDRange.for_device(100, "gpu").local_size == 256
-        with pytest.raises(NDRangeError):
-            NDRange.for_device(10, "fpga")
-
-    def test_work_item_id(self):
-        ndrange = NDRange(global_size=100, local_size=32)
-        item = WorkItemId.from_global(70, ndrange)
-        assert item.group_id == 2
-        assert item.local_id == 6
-
-    def test_invalid_sizes(self):
-        with pytest.raises(NDRangeError):
-            NDRange(global_size=-1, local_size=4)
-        with pytest.raises(NDRangeError):
-            NDRange(global_size=4, local_size=0)
 
 
 class TestWavefrontDivergence:
@@ -86,10 +41,6 @@ class TestWavefrontDivergence:
         assert grouped.divergence < ungrouped
         assert sorted(order.tolist()) == list(range(4096))
 
-    def test_divergence_factor_wrapper(self):
-        workloads = np.concatenate([np.ones(512), np.full(64, 30.0)])
-        assert divergence_factor(workloads, grouped=True) <= divergence_factor(workloads)
-
     def test_empty_input(self):
         assert wavefront_divergence(np.array([])).divergence == 0.0
 
@@ -99,24 +50,6 @@ class TestWavefrontDivergence:
 
 
 class TestAtomics:
-    def test_atomic_counter_returns_previous(self):
-        counter = AtomicCounter(5)
-        assert counter.add(3) == 5
-        assert counter.load() == 8
-        assert counter.stats.global_ops == 1
-
-    def test_latch_context_manager(self):
-        latch = Latch()
-        with latch:
-            assert latch.held
-        assert not latch.held
-        assert latch.acquisitions == 1
-
-    def test_latch_misuse(self):
-        latch = Latch()
-        with pytest.raises(RuntimeError):
-            latch.release()
-
     def test_latch_table_uniform_low_conflict(self):
         table = LatchTable(n_latches=1024)
         for i in range(1024):
@@ -192,6 +125,16 @@ class TestAllocators:
         with pytest.raises(ArenaExhaustedError):
             allocator.allocate(32)
 
+    def test_arena_bump_returns_previous_offset(self):
+        # The free pointer is a global atomic_add: it returns the previous
+        # value and counts one global atomic per advance.
+        arena = Arena(64)
+        assert arena.bump(5) == 0
+        assert arena.global_atomics == 1
+        assert arena.bump(3) == 5
+        assert arena.used_bytes == 8
+        assert arena.global_atomics == 2
+
     def test_bulk_allocate_matches_per_request_accounting(self):
         per_request = BlockAllocator(Arena(1 << 20), block_bytes=2048)
         for _ in range(256):
@@ -215,50 +158,3 @@ class TestAllocators:
     def test_make_allocator_unknown_kind(self):
         with pytest.raises(ValueError):
             make_allocator("slab")
-
-
-class TestLogicalMemory:
-    def test_global_buffer_read_write(self):
-        buffer = GlobalBuffer(16)
-        buffer.write(3, 42)
-        assert buffer.read(3) == 42
-        assert buffer.counters.total == 2
-
-    def test_global_buffer_bulk_ops(self):
-        buffer = GlobalBuffer(8)
-        buffer.bulk_write(np.array([0, 1]), np.array([7, 9]))
-        assert buffer.bulk_read(np.array([0, 1])).tolist() == [7, 9]
-
-    def test_local_buffer_capacity_enforced(self):
-        with pytest.raises(LocalMemoryExceededError):
-            LocalBuffer(n_items=10_000, item_bytes=8, capacity_bytes=32 * 1024)
-        ok = LocalBuffer(n_items=128)
-        ok.write(0, 5)
-        assert ok.read(0) == 5
-
-
-class TestKernel:
-    def test_launch_aggregates_stats(self):
-        def body(item: WorkItemId, args: dict) -> WorkItemReport:
-            return WorkItemReport(instructions=10.0, random_accesses=1.0)
-
-        kernel = Kernel("uniform", body)
-        launch = kernel.launch(NDRange(global_size=100, local_size=32))
-        assert launch.stats.tuples == 100
-        assert launch.stats.instructions == pytest.approx(1000.0)
-        assert launch.stats.random_accesses == pytest.approx(100.0)
-        assert launch.stats.divergence == pytest.approx(0.0)
-
-    def test_launch_detects_divergence(self):
-        def body(item: WorkItemId, args: dict) -> WorkItemReport:
-            heavy = item.global_id % 64 == 0
-            return WorkItemReport(instructions=100.0 if heavy else 1.0)
-
-        kernel = Kernel("divergent", body)
-        launch = kernel.launch(NDRange(global_size=640, local_size=256))
-        assert launch.stats.divergence > 0.5
-
-    def test_keep_reports(self):
-        kernel = Kernel("noop", lambda item, args: WorkItemReport())
-        launch = kernel.launch(NDRange(global_size=5, local_size=5), keep_reports=True)
-        assert len(launch.reports) == 5

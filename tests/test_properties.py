@@ -12,8 +12,13 @@ from hypothesis import strategies as st
 
 from repro.costmodel import StepCost, estimate_series, pipeline_delays
 from repro.data import Relation, expected_match_count
+from repro.experiments.fig19_external import small_buffer_machine
 from repro.hashjoin import (
+    CoarseGrainedPHJ,
+    ExternalHashJoin,
     HashTable,
+    PartitionedHashJoin,
+    SimpleHashJoin,
     bucket_of,
     murmur2,
     murmur2_scalar,
@@ -98,6 +103,76 @@ class TestJoinProperties:
         build = relation_from(build_keys, "R")
         probe = relation_from(probe_keys, "S")
         assert expected_match_count(build, probe) == reference_join(build, probe).match_count
+
+
+@st.composite
+def degenerate_key_pairs(draw) -> tuple[list[int], list[int]]:
+    """(build keys, probe keys) in one of the shapes that break joins:
+    all keys equal, one heavy hitter over a uniform tail, one side empty,
+    both sides empty, or a small uniform set."""
+    shape = draw(st.sampled_from(
+        ("all-equal", "heavy-hitter", "empty-build", "empty-probe", "empty", "uniform")
+    ))
+    sizes = st.integers(1, 150)
+    if shape == "all-equal":
+        key = draw(st.integers(0, 2**31 - 1))
+        return [key] * draw(sizes), [key] * draw(sizes)
+    if shape == "heavy-hitter":
+        heavy, space = draw(st.integers(0, 50)), draw(st.integers(1, 200))
+        tail = st.lists(st.integers(0, space), max_size=120)
+        build = [heavy] * draw(st.integers(1, 60)) + draw(tail)
+        probe = [heavy] * draw(st.integers(1, 60)) + draw(tail)
+        return draw(st.permutations(build)), draw(st.permutations(probe))
+    uniform = st.lists(st.integers(0, draw(st.integers(1, 100))), min_size=1, max_size=150)
+    if shape == "empty-build":
+        return [], draw(uniform)
+    if shape == "empty-probe":
+        return draw(uniform), []
+    if shape == "empty":
+        return [], []
+    return draw(uniform), draw(uniform)
+
+
+def _simple_pair_joiner(build: Relation, probe: Relation):
+    return (len(build) + len(probe)) * 1e-9, SimpleHashJoin().run(build, probe).result
+
+
+#: Several partition pairs even for the small drawn relations.
+ORACLE_PARTITION_TUPLES = 16
+
+#: Every join operator, serial and on two pool workers where it has a pool.
+JOIN_OPERATORS = {
+    "SHJ": lambda: SimpleHashJoin(),
+    "PHJ": lambda: PartitionedHashJoin(target_partition_tuples=ORACLE_PARTITION_TUPLES),
+    "PHJ-parallel": lambda: PartitionedHashJoin(
+        target_partition_tuples=ORACLE_PARTITION_TUPLES, parallel=True, n_workers=2
+    ),
+    "coarse": lambda: CoarseGrainedPHJ(target_partition_tuples=ORACLE_PARTITION_TUPLES),
+    "coarse-parallel": lambda: CoarseGrainedPHJ(
+        target_partition_tuples=ORACLE_PARTITION_TUPLES, parallel=True, n_workers=2
+    ),
+    # A 2 KB buffer makes the larger drawn pairs spill, recurse and swap roles.
+    "external": lambda: ExternalHashJoin(
+        _simple_pair_joiner, machine=small_buffer_machine(2 * 1024), chunk_tuples=64
+    ),
+}
+
+
+class TestJoinOracle:
+    """Every operator against the independent oracles on degenerate keys."""
+
+    # Six operators per example: about 6 s on 2 vCPUs.
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(degenerate_key_pairs())
+    def test_every_operator_matches_the_oracle(self, key_pair):
+        build = relation_from(key_pair[0], "R")
+        probe = relation_from(key_pair[1], "S")
+        expected = vectorized_reference_join(build, probe)
+        expected_count = expected_match_count(build, probe)
+        for name, make_operator in JOIN_OPERATORS.items():
+            result = make_operator().run(build, probe).result
+            assert result.equals(expected), name
+            assert result.match_count == expected_count, name
 
 
 class TestDivergenceProperties:

@@ -1,5 +1,5 @@
 """Multi-query plan service: API validation, batched-vs-sequential parity,
-shared-cache concurrency, and the process-wide cache singleton."""
+shared cache concurrency, and the process-wide cache singleton."""
 
 from __future__ import annotations
 
