@@ -461,7 +461,7 @@ class ExternalHashJoin:
         self._replay(staging_events, breakdown)
 
         # Stage 2: join each linked partition pair inside the buffer.  The
-        # pairs are carved out of one stable argsort per relation; each pair
+        # pairs are carved out of one stable radix sort per relation; each pair
         # task records its charges as events so independent pairs can run on
         # worker threads, and the driver replays every pair's events in pair
         # order — the breakdown accumulates bit-identically to the serial

@@ -83,6 +83,40 @@ def default_bucket_count(expected_keys: int) -> int:
     return 1 << int(np.ceil(np.log2(n)))
 
 
+#: Flipping an int64's sign bit maps int64 order onto uint64 order.
+_INT64_SIGN_BIT = np.uint64(1 << 63)
+#: Bits per radix digit: numpy sorts 16-bit integers with a stable radix sort.
+_RADIX_DIGIT_BITS = 16
+
+
+def radix_digits(*columns: np.ndarray) -> list[np.ndarray]:
+    """uint16 digits of int64 sort columns, least significant first.
+
+    The columns follow :func:`numpy.lexsort`'s convention (the last one is
+    the primary key), so ``np.lexsort(radix_digits(a, b))`` is the
+    permutation ``np.lexsort((a, b))`` returns and
+    ``np.lexsort(radix_digits(a))`` the one ``np.argsort(a, kind="stable")``
+    returns.  numpy sorts each 16-bit digit with an O(n) stable radix sort,
+    where an int64 column takes an O(n log n) merge or tim sort.
+
+    Each column is mapped to uint64 in order (its sign bit flipped),
+    shifted down by its minimum, and split into only as many digits as the
+    remaining range needs; a constant column adds none.  The list is never
+    empty, so it can always go to :func:`numpy.lexsort`.
+    """
+    n = len(columns[-1])
+    digits: list[np.ndarray] = []
+    if n:
+        for column in columns:
+            signed = np.asarray(column, dtype=np.int64)
+            unsigned = signed.view(np.uint64) ^ _INT64_SIGN_BIT
+            unsigned -= unsigned.min()
+            span_bits = int(unsigned.max()).bit_length()
+            for shift in range(0, span_bits, _RADIX_DIGIT_BITS):
+                digits.append((unsigned >> np.uint64(shift)).astype(np.uint16))
+    return digits or [np.zeros(n, dtype=np.uint16)]
+
+
 class HashTable:
     """Bucket headers -> key lists -> rid lists, backed by a software allocator."""
 
@@ -234,7 +268,7 @@ class HashTable:
         created = False
         if found == -1:
             created = True
-            visited += 1 if self.bucket_key_count[bucket] > 0 else 1
+            visited += 1
             self._ensure_key_capacity(1)
             self.allocator.allocate(KEY_NODE_BYTES, group_id=bucket % 64)
             found = self.n_key_nodes
@@ -289,10 +323,10 @@ class HashTable:
     # Bulk (vectorised) path
     # ------------------------------------------------------------------
     def _sorted_key_view(self) -> tuple[np.ndarray, np.ndarray]:
-        """(sorted live key-node keys, argsort order), cached until inserts."""
+        """(sorted live key-node keys, stable sort order), cached until inserts."""
         if self._key_order_dirty or self._key_order is None:
             table_keys = self.key_node_key[: self.n_key_nodes]
-            self._key_order = np.argsort(table_keys, kind="stable")
+            self._key_order = np.lexsort(radix_digits(table_keys))
             self._sorted_keys = table_keys[self._key_order]
             self._key_order_dirty = False
         return self._sorted_keys, self._key_order
@@ -300,14 +334,19 @@ class HashTable:
     def _lookup_nodes(self, keys: np.ndarray) -> np.ndarray:
         """Key-node index per key (-1 when absent), fully vectorised.
 
-        Binary-searches the queries against the cached sorted key view, the
-        same technique :meth:`bulk_probe` uses; the common build path (bulk
-        inserts into a fresh table) skips it entirely via the empty check.
+        Binary-searches the queries against the cached sorted key view in
+        key order: each search then starts where the previous one ended, so
+        the table's keys are read in one ascending sweep instead of at
+        random.  The positions are scattered back to the query order.  The
+        common build path (bulk inserts into a fresh table) skips all of
+        this via the empty check.
         """
         if self.n_key_nodes == 0:
             return np.full(keys.shape[0], -1, dtype=np.int64)
         sorted_table_keys, key_order = self._sorted_key_view()
-        positions = np.searchsorted(sorted_table_keys, keys)
+        query_order = np.lexsort(radix_digits(keys))
+        positions = np.empty(keys.shape[0], dtype=np.int64)
+        positions[query_order] = np.searchsorted(sorted_table_keys, keys[query_order])
         positions_clipped = np.minimum(positions, self.n_key_nodes - 1)
         found = (positions < self.n_key_nodes) & (
             sorted_table_keys[positions_clipped] == keys
@@ -340,8 +379,9 @@ class HashTable:
         if buckets.min() < 0 or buckets.max() >= self.n_buckets:
             raise HashTableError("bucket numbers out of range")
 
-        # Group tuples by (bucket, key).
-        order = np.lexsort((keys, buckets))
+        # Group tuples by (bucket, key).  The sort must be stable: it fixes
+        # the order of each key's rid list, and with it the result order.
+        order = np.lexsort(radix_digits(keys, buckets))
         s_keys = keys[order]
         s_rids = rids[order]
         s_buckets = buckets[order]
@@ -501,40 +541,27 @@ class HashTable:
         if self._csr_dirty:
             self._rebuild_csr()
 
-        # p3: locate the probe key among the table's key nodes.
-        if self.n_key_nodes == 0:
-            found_mask = np.zeros(n, dtype=bool)
-            node_of_probe = np.full(n, -1, dtype=np.int64)
-        else:
-            sorted_table_keys, key_order = self._sorted_key_view()
-            positions = np.searchsorted(sorted_table_keys, keys)
-            positions_clipped = np.minimum(positions, self.n_key_nodes - 1)
-            found_mask = (positions < self.n_key_nodes) & (
-                sorted_table_keys[positions_clipped] == keys
-            )
-            node_of_probe = np.where(found_mask, key_order[positions_clipped], -1)
-
+        # p3: locate the probe key among the table's key nodes.  A miss walks
+        # the whole chain, so it visits 0 nodes in an empty bucket.
+        node_of_probe = self._lookup_nodes(keys)
+        found_mask = node_of_probe >= 0
+        safe_node = np.maximum(node_of_probe, 0)
         chain_lengths = self.bucket_key_count[buckets].astype(np.float64)
         visited = np.where(
             found_mask,
-            self.key_node_chain_pos[np.maximum(node_of_probe, 0)].astype(np.float64) + 1.0,
+            self.key_node_chain_pos[safe_node].astype(np.float64) + 1.0,
             chain_lengths,
         )
-        # Probing an empty bucket still reads its header only; count at least
-        # the header inspection as one visited node when the chain is empty.
-        visited = np.maximum(visited, 0.0)
 
         # p4: fetch the matching rid lists.
         match_counts = np.where(
-            found_mask,
-            self.key_node_rid_count[np.maximum(node_of_probe, 0)],
-            0,
+            found_mask, self.key_node_rid_count[safe_node], 0
         ).astype(np.int64)
         total = int(match_counts.sum())
         if total:
             offsets = self._csr_offsets
             csr_rids = self._csr_rids
-            starts = offsets[np.maximum(node_of_probe, 0)]
+            starts = offsets[safe_node]
             out_offsets = np.concatenate(([0], np.cumsum(match_counts)[:-1]))
             flat = (
                 np.arange(total)

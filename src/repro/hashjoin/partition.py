@@ -18,7 +18,7 @@ import numpy as np
 from ..data.relation import Relation
 from ..hardware.cache import WorkingSet
 from ..opencl.allocator import MemoryAllocator
-from .hashtable import BUCKET_HEADER_BYTES, HashTable
+from .hashtable import BUCKET_HEADER_BYTES, HashTable, radix_digits
 from .murmur import (
     DEFAULT_SEED,
     MURMUR_INSTRUCTIONS_PER_KEY,
@@ -158,11 +158,13 @@ def split_relation_by_partition(
     label: str,
     key_hashes: np.ndarray | None = None,
 ) -> list[tuple[Relation, np.ndarray | None]]:
-    """Carve a relation into its partitions with one stable argsort.
+    """Carve a relation into its partitions with one stable radix sort.
 
     Equivalent to ``relation.take(np.flatnonzero(ids == pid))`` per pid —
     a stable sort keeps ascending positions inside every partition, so each
-    part's tuples come out in the identical order.  The single split kernel
+    part's tuples come out in the identical order.  The ids are sorted as
+    uint16 digits (:func:`~repro.hashjoin.hashtable.radix_digits`), which
+    numpy radix-sorts in linear time.  The single split kernel
     behind :meth:`PartitionSet.partitions_with_hashes` and the external
     join's super-partition staging; ``key_hashes``, when carried, is sliced
     alongside.
@@ -173,7 +175,7 @@ def split_relation_by_partition(
             f"partition ids out of range [0, {n_parts}); bincount would "
             "silently drop those tuples"
         )
-    order = np.argsort(ids, kind="stable")
+    order = np.lexsort(radix_digits(ids))
     sizes = np.bincount(ids, minlength=n_parts)
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     sorted_rel = relation.take(order)

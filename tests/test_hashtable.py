@@ -158,6 +158,16 @@ class TestBulkProbe:
         assert result.match_count == 0
         assert work.matches.tolist() == [0.0]
 
+    def test_miss_visits_the_whole_chain_on_both_paths(self):
+        # A miss walks its bucket's chain to the end: 0 nodes in an empty
+        # bucket, the chain length in an occupied one.
+        table = HashTable(n_buckets=4, allocator=make_allocator("block"))
+        table.insert(1, 10, 2)
+        assert table.probe_one(7, 0) == ([], 0)
+        assert table.probe_one(7, 2) == ([], 1)
+        _, work = table.bulk_probe(np.array([7, 7]), np.array([0, 1]), np.array([0, 2]))
+        assert work.key_nodes_visited.tolist() == [0.0, 1.0]
+
     def test_probe_work_visited_at_least_for_hits(self):
         keys = np.arange(64)
         table = build_table(keys, n_buckets=8)

@@ -25,6 +25,7 @@ from repro.hashjoin import (
     reference_join,
     vectorized_reference_join,
 )
+from repro.hashjoin.hashtable import radix_digits
 from repro.hashjoin.steps import PerTupleWork
 from repro.opencl import (
     Arena,
@@ -108,15 +109,25 @@ class TestJoinProperties:
 @st.composite
 def degenerate_key_pairs(draw) -> tuple[list[int], list[int]]:
     """(build keys, probe keys) in one of the shapes that break joins:
-    all keys equal, one heavy hitter over a uniform tail, one side empty,
-    both sides empty, or a small uniform set."""
+    all keys equal, one heavy hitter over a uniform tail, wide keys, one
+    side empty, both sides empty, or a small uniform set."""
     shape = draw(st.sampled_from(
-        ("all-equal", "heavy-hitter", "empty-build", "empty-probe", "empty", "uniform")
+        ("all-equal", "heavy-hitter", "wide", "empty-build", "empty-probe", "empty", "uniform")
     ))
     sizes = st.integers(1, 150)
     if shape == "all-equal":
         key = draw(st.integers(0, 2**31 - 1))
         return [key] * draw(sizes), [key] * draw(sizes)
+    if shape == "wide":
+        # Negative keys and keys >= 2**32 from a few low and high 32-bit
+        # halves: keys that share their low half share a murmur hash, so
+        # distinct keys land in one bucket.
+        low_pool = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+        high_pool = draw(st.lists(st.integers(-(2**31), 2**31 - 1), min_size=1, max_size=4))
+        lows, highs = st.sampled_from(low_pool), st.sampled_from(high_pool)
+        wide = st.lists(st.builds(lambda low, high: (high << 32) | low, lows, highs),
+                        min_size=1, max_size=120)
+        return draw(wide), draw(wide)
     if shape == "heavy-hitter":
         heavy, space = draw(st.integers(0, 50)), draw(st.integers(1, 200))
         tail = st.lists(st.integers(0, space), max_size=120)
@@ -155,13 +166,20 @@ JOIN_OPERATORS = {
     "external": lambda: ExternalHashJoin(
         _simple_pair_joiner, machine=small_buffer_machine(2 * 1024), chunk_tuples=64
     ),
+    "external-parallel": lambda: ExternalHashJoin(
+        _simple_pair_joiner,
+        machine=small_buffer_machine(2 * 1024),
+        chunk_tuples=64,
+        parallel=True,
+        n_workers=2,
+    ),
 }
 
 
 class TestJoinOracle:
     """Every operator against the independent oracles on degenerate keys."""
 
-    # Six operators per example: about 6 s on 2 vCPUs.
+    # Seven operators per example: about 5 s on 2 vCPUs.
     @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(degenerate_key_pairs())
     def test_every_operator_matches_the_oracle(self, key_pair):
@@ -173,6 +191,73 @@ class TestJoinOracle:
             result = make_operator().run(build, probe).result
             assert result.equals(expected), name
             assert result.match_count == expected_count, name
+
+
+#: int64 values that break an order-preserving digit split: the extremes,
+#: both sides of zero and of the 32-bit boundaries.
+INT64_EDGES = (-(2**63), 2**63 - 1, -(2**32), -1, 0, 1, 2**32 - 1, 2**32, 2**63 - 2**32)
+
+int64_values = st.one_of(
+    st.sampled_from(INT64_EDGES),
+    st.integers(-(2**63), 2**63 - 1),
+    st.integers(-3, 3),
+)
+
+
+@st.composite
+def int64_sort_columns(draw) -> list[np.ndarray]:
+    """One to three equal-length int64 columns, each drawn freely or constant,
+    of length 0, 1 or up to 80."""
+    n = draw(st.sampled_from((0, 1)) | st.integers(2, 80))
+    column = st.lists(int64_values, min_size=n, max_size=n) | int64_values.map(
+        lambda value: [value] * n
+    )
+    return [np.asarray(draw(column), dtype=np.int64) for _ in range(draw(st.integers(1, 3)))]
+
+
+class TestExactOrder:
+    """The kernels' sorts and searches pin rid-list and result order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(int64_sort_columns())
+    def test_digit_lexsort_is_the_int64_sort(self, columns):
+        assert np.array_equal(np.lexsort(radix_digits(*columns)), np.lexsort(columns))
+        primary = columns[-1]
+        assert np.array_equal(
+            np.lexsort(radix_digits(primary)), np.argsort(primary, kind="stable")
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(int64_values, min_size=1, max_size=60),
+        st.lists(int64_values, max_size=60),
+        st.integers(1, 8),
+    )
+    def test_sorted_query_lookup_is_searchsorted(self, table_keys, extra_queries, n_buckets):
+        keys = np.asarray(table_keys, dtype=np.int64)
+        table = HashTable(n_buckets=n_buckets)
+        table.bulk_insert(keys, np.arange(len(keys)), bucket_of(keys, n_buckets))
+        queries = np.asarray(table_keys + extra_queries, dtype=np.int64)[::-1]
+        node_keys = table.key_node_key[: table.n_key_nodes]
+        key_order = np.argsort(node_keys, kind="stable")
+        sorted_keys = node_keys[key_order]
+        positions = np.searchsorted(sorted_keys, queries)
+        clipped = np.minimum(positions, len(sorted_keys) - 1)
+        found = (positions < len(sorted_keys)) & (sorted_keys[clipped] == queries)
+        expected = np.where(found, key_order[clipped], -1)
+        assert np.array_equal(table._lookup_nodes(queries), expected)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(degenerate_key_pairs())
+    def test_simple_join_emits_the_reference_order(self, key_pair):
+        # Each key's rid list keeps build order and the probe emits in probe
+        # order, so SHJ's output equals the oracle array for array.
+        build = relation_from(key_pair[0], "R")
+        probe = relation_from(key_pair[1], "S")
+        result = SimpleHashJoin().run(build, probe).result
+        expected = vectorized_reference_join(build, probe)
+        assert np.array_equal(result.build_rids, expected.build_rids)
+        assert np.array_equal(result.probe_rids, expected.probe_rids)
 
 
 class TestDivergenceProperties:
