@@ -34,7 +34,9 @@ This cross-file pass enforces that contract over the repo graph:
      on ``self`` — instances alive at fork time cross the boundary.  Locks
      and RNGs owned by instances are *not* flagged: per-instance state is
      the owner's problem and flagging every lock-owning class would bury
-     the signal.
+     the signal.  ``self.<attr> = self.<helper>()`` stores a resource when
+     the helper returns a factory call, directly or through a local; the
+     pass follows such helpers one level deep.
 
 4. **Clearing** — a resource is fine when its module registers an
    ``os.register_at_fork`` hook that (for module-level names) references
@@ -373,10 +375,67 @@ class ForkSafetyChecker(Checker):
             for kind, _ in self._class_resource_attrs(graph, info, cls).values()
         }
 
+    def _returned_resource_kind(
+        self,
+        graph: ModuleGraph,
+        info: ModuleInfo,
+        method: ast.FunctionDef | ast.AsyncFunctionDef,
+    ) -> str | None:
+        """Kind a helper method returns from a resource factory, or ``None``.
+
+        ``return sqlite3.connect(...)`` counts, and so does returning a local
+        assigned from one (``conn = sqlite3.connect(...)`` ... ``return
+        conn``).  A helper returning another helper's result is not followed.
+        """
+        locals_: dict[str, str] = {}
+        returned: list[ast.expr] = []
+        for node in ast.walk(method):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(
+                node.value, ast.Call
+            ):
+                kind = resource_kind_of(graph, info, node.value)
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if kind is not None and isinstance(target, ast.Name):
+                        locals_[target.id] = kind
+            elif isinstance(node, ast.Return) and node.value is not None:
+                returned.append(node.value)
+        for value in returned:
+            if isinstance(value, ast.Call):
+                kind = resource_kind_of(graph, info, value)
+                if kind is not None:
+                    return kind
+            elif isinstance(value, ast.Name) and value.id in locals_:
+                return locals_[value.id]
+        return None
+
+    @staticmethod
+    def _self_helper_kind(call: ast.Call, helper_kinds: dict[str, str]) -> str | None:
+        """Kind of ``self.<helper>()`` when the helper returns a resource."""
+        func = call.func
+        if (
+            isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "self"
+        ):
+            return helper_kinds.get(func.attr)
+        return None
+
     def _class_resource_attrs(
         self, graph: ModuleGraph, info: ModuleInfo, cls: ast.ClassDef
     ) -> dict[str, tuple[str, ast.AST]]:
-        """``attr -> (kind, node)`` for resources stored on ``self``."""
+        """``attr -> (kind, node)`` for resources stored on ``self``.
+
+        ``self.<attr> = self.<helper>()`` counts when the helper, a method of
+        the same class, returns a resource (see
+        :meth:`_returned_resource_kind`).
+        """
+        helper_kinds: dict[str, str] = {}
+        for method in cls.body:
+            if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                kind = self._returned_resource_kind(graph, info, method)
+                if kind is not None:
+                    helper_kinds[method.name] = kind
         out: dict[str, tuple[str, ast.AST]] = {}
         for method in cls.body:
             if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -388,6 +447,8 @@ class ForkSafetyChecker(Checker):
                     if not isinstance(value, ast.Call):
                         continue
                     kind = resource_kind_of(graph, info, value)
+                    if kind is None:
+                        kind = self._self_helper_kind(value, helper_kinds)
                     if kind is None:
                         continue
                     targets = (

@@ -28,7 +28,11 @@ import numpy as np
 
 from ..hardware.cache import WorkingSet
 from ..hardware.workstats import WorkProfile, WorkStats
-from ..opencl.wavefront import AMD_WAVEFRONT_WIDTH, wavefront_divergence
+from ..opencl.wavefront import (
+    AMD_WAVEFRONT_WIDTH,
+    uniform_divergence,
+    wavefront_divergence,
+)
 
 #: Most :class:`WorkStats` one :class:`PerTupleWork` memoises.  A Monte
 #: Carlo step on the 0.02 ratio grid needs about 102 (51 cuts x 2 sides).
@@ -86,16 +90,21 @@ def step_by_name(name: str) -> StepDefinition:
     raise KeyError(f"unknown step {name!r}")
 
 
-ArrayOrScalar = "np.ndarray | float"
+#: The per-tuple work quantities of a :class:`PerTupleWork`.
+_QUANTITIES: tuple[str, ...] = (
+    "instructions",
+    "random_accesses",
+    "sequential_bytes",
+    "global_atomics",
+    "local_atomics",
+)
 
 
-def _as_array(value: np.ndarray | float, n: int) -> np.ndarray:
-    """Broadcast a scalar per-tuple quantity to an array of length ``n``."""
+def _as_float(value: np.ndarray | float) -> np.ndarray | float:
+    """A per-tuple quantity in float64: arrays stay arrays, scalars floats."""
     if isinstance(value, np.ndarray):
-        if value.shape[0] != n:
-            raise ValueError(f"per-tuple array has length {value.shape[0]}, expected {n}")
         return value.astype(np.float64, copy=False)
-    return np.full(n, float(value), dtype=np.float64)
+    return float(value)
 
 
 def _range_sum(value: np.ndarray | float, start: int, stop: int) -> float:
@@ -136,17 +145,35 @@ class PerTupleWork:
     def __post_init__(self) -> None:
         if self.n_tuples < 0:
             raise ValueError("n_tuples must be non-negative")
-        self._proxy_cache: np.ndarray | None = None
+        self._proxy_cache: np.ndarray | float | None = None
         self._stats_memo: dict[tuple[int, int, float, int, bool], WorkStats] = {}
 
     # ------------------------------------------------------------------
-    def _full_proxy(self) -> np.ndarray:
-        """The whole series' workload proxy, computed once and reused."""
+    def _check_lengths(self) -> None:
+        """Every array quantity must hold exactly one value per tuple."""
+        for name in _QUANTITIES:
+            value = getattr(self, name)
+            if isinstance(value, np.ndarray) and value.shape != (self.n_tuples,):
+                raise ValueError(
+                    f"per-tuple {name} has shape {value.shape}, expected ({self.n_tuples},)"
+                )
+
+    def _full_proxy(self) -> np.ndarray | float:
+        """The whole series' workload proxy, computed once and reused.
+
+        Scalar components are broadcast, not materialised.  When
+        instructions, random accesses and global atomics are all scalars,
+        every tuple carries the same proxy and this is that one float.  The
+        first call checks the length of every quantity; every stats call
+        starts here, so a bad length raises at the first one.
+        """
         if self._proxy_cache is None:
-            proxy = _as_array(self.instructions, self.n_tuples).copy()
-            proxy += 10.0 * _as_array(self.random_accesses, self.n_tuples)
-            proxy += 5.0 * _as_array(self.global_atomics, self.n_tuples)
-            self._proxy_cache = proxy
+            self._check_lengths()
+            self._proxy_cache = (
+                _as_float(self.instructions)
+                + 10.0 * _as_float(self.random_accesses)
+                + 5.0 * _as_float(self.global_atomics)
+            )
         return self._proxy_cache
 
     def workload_proxy(self, start: int = 0, stop: int | None = None) -> np.ndarray:
@@ -155,7 +182,10 @@ class PerTupleWork:
         n = max(stop - start, 0)
         if n == 0:
             return np.empty(0, dtype=np.float64)
-        return self._full_proxy()[start:stop].copy()
+        proxy = self._full_proxy()
+        if isinstance(proxy, float):
+            return np.full(self.n_tuples, proxy)[start:stop]
+        return proxy[start:stop].copy()
 
     def stats_for_range(
         self,
@@ -171,6 +201,7 @@ class PerTupleWork:
         workloads are considered sorted by workload before wavefront
         formation, which reduces the divergence component.
         """
+        proxy = self._full_proxy()
         start = max(0, start)
         stop = min(self.n_tuples, stop)
         n = max(stop - start, 0)
@@ -180,9 +211,14 @@ class PerTupleWork:
         stats = self._stats_memo.get(key)
         if stats is not None:
             return stats
-        proxy = self.workload_proxy(start, stop)
-        if grouped:
-            proxy = np.sort(proxy)
+        if isinstance(proxy, float):
+            # Sorting a constant range changes nothing, so grouping is moot.
+            divergence = uniform_divergence(proxy, n, wavefront_width)
+        else:
+            window = proxy[start:stop]
+            if grouped:
+                window = np.sort(window)
+            divergence = wavefront_divergence(window, width=wavefront_width).divergence
         stats = WorkStats(
             tuples=n,
             instructions=_range_sum(self.instructions, start, stop),
@@ -190,7 +226,7 @@ class PerTupleWork:
             random_accesses=_range_sum(self.random_accesses, start, stop),
             global_atomics=_range_sum(self.global_atomics, start, stop),
             local_atomics=_range_sum(self.local_atomics, start, stop),
-            divergence=wavefront_divergence(proxy, width=wavefront_width).divergence,
+            divergence=divergence,
             atomic_conflict_ratio=conflict_ratio,
         )
         if len(self._stats_memo) >= STATS_MEMO_ENTRIES:

@@ -10,6 +10,7 @@ that waste and implements the grouping optimisation the paper borrows from
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,19 +59,40 @@ def wavefront_divergence(
     if n == 0:
         return DivergenceReport(useful_work=0.0, lockstep_work=0.0, n_wavefronts=0)
 
-    n_wavefronts = (n + width - 1) // width
-    padded = np.zeros(n_wavefronts * width, dtype=np.float64)
-    padded[:n] = workloads
-    per_wavefront_max = padded.reshape(n_wavefronts, width).max(axis=1)
+    n_full, tail = divmod(n, width)
+    n_wavefronts = n_full + (1 if tail else 0)
     # Each wavefront retires with its slowest work item; only lanes that carry
     # real work items are counted, so uniform work has zero divergence even
-    # when the last wavefront is partially filled.
-    lane_counts = np.full(n_wavefronts, width, dtype=np.float64)
-    if n % width:
-        lane_counts[-1] = n % width
-    lockstep = float(np.sum(per_wavefront_max * lane_counts))
+    # when the last wavefront is partially filled.  The full wavefronts'
+    # maxima come from a view of the input; the tail's maximum never falls
+    # below 0.0, the value an idle lane of a zero-padded last wavefront holds.
+    lockstep_terms = np.empty(n_wavefronts, dtype=np.float64)
+    full = workloads[: n_full * width].reshape(n_full, width)
+    np.multiply(full.max(axis=1), width, out=lockstep_terms[:n_full])
+    if tail:
+        lockstep_terms[-1] = max(float(workloads[n_full * width:].max()), 0.0) * tail
+    lockstep = float(np.sum(lockstep_terms))
     useful = float(np.sum(workloads))
     return DivergenceReport(useful_work=useful, lockstep_work=lockstep, n_wavefronts=n_wavefronts)
+
+
+def uniform_divergence(value: float, n: int, width: int = AMD_WAVEFRONT_WIDTH) -> float:
+    """``wavefront_divergence(np.full(n, value), width).divergence``, bit for bit.
+
+    Write ``value = p / 2**k`` in lowest terms (``value.as_integer_ratio()``).
+    When ``value >= 0`` and ``n * p <= 2**53``, every product and partial
+    sum in both of :func:`wavefront_divergence`'s reductions is
+    ``m * value`` for some ``m <= n``, and ``m * p`` fits in a double's
+    53-bit significand, so each is exact.  The useful and the lock-step work
+    then both equal ``n * value`` and the divergence is exactly 0.0, with no
+    array built.  Otherwise rounding can leave a nonzero divergence
+    (``value = 0.1`` does at some lengths), so the array is built.
+    """
+    if width <= 0:
+        raise ValueError("width must be positive")
+    if 0.0 <= value < math.inf and n * value.as_integer_ratio()[0] <= 2**53:
+        return 0.0
+    return wavefront_divergence(np.full(n, value), width).divergence
 
 
 def grouped_divergence(

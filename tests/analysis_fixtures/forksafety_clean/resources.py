@@ -7,6 +7,7 @@ handler is this module's re-init story).
 
 import sqlite3
 import threading
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 
 GUARD = threading.Lock()
@@ -30,6 +31,21 @@ class StoreLike:
         pass
 
 
+_LIVE_HELPER_STORES = weakref.WeakSet()
+
+
+class HelperStore:
+    def __init__(self, path):
+        self.path = path
+        self._conn: sqlite3.Connection = self._open_connection()
+        _LIVE_HELPER_STORES.add(self)
+
+    def _open_connection(self):
+        conn = sqlite3.connect(self.path)
+        conn.execute("PRAGMA synchronous=NORMAL")
+        return conn
+
+
 def _reset_after_fork():
     # Fresh lock (never acquire an inherited one here), fresh connection,
     # dropped executors: first use in the child rebuilds everything.
@@ -37,6 +53,8 @@ def _reset_after_fork():
     GUARD = threading.Lock()
     DB = sqlite3.connect(":memory:")
     POOLS.clear()
+    for store in list(_LIVE_HELPER_STORES):
+        store._conn = store._open_connection()
 
 
 import os  # placed late to mirror real modules registering at import tail

@@ -6,6 +6,8 @@ reachable across the fork boundary.  Expected findings:
   * module-level lock ``GUARD`` (no ``os.register_at_fork``),
   * module-level connection ``DB``,
   * class ``StoreLike`` storing a SQLite connection and a thread on self,
+  * class ``HelperStore`` storing a SQLite connection that a helper method
+    opens and returns through a local,
   * module-level registry ``POOLS`` filled with executors by ``get_pool``.
 """
 
@@ -32,3 +34,14 @@ class StoreLike:
 
     def run(self):
         pass
+
+
+class HelperStore:
+    def __init__(self, path):
+        self.path = path
+        self._conn: sqlite3.Connection = self._open_connection()  # SEED: via helper
+
+    def _open_connection(self):
+        conn = sqlite3.connect(self.path)
+        conn.execute("PRAGMA synchronous=NORMAL")
+        return conn

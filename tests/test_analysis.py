@@ -264,6 +264,7 @@ class TestForkSafety:
         assert contexts == [
             "DB",
             "GUARD",
+            "HelperStore._conn",
             "POOLS",
             "StoreLike._conn",
             "StoreLike._worker",
@@ -274,6 +275,54 @@ class TestForkSafety:
     def test_clean_twin_is_quiet(self):
         findings = get_checker("fork-safety").check_project(self.project("clean"))
         assert findings == []
+
+    @staticmethod
+    def forked_project(tmp_path, resources_text: str) -> Project:
+        """``resources_text`` as ``pkg/resources.py``, imported by a module
+        that forks."""
+        boundary_text = (
+            "import os\n"
+            "from . import resources\n"
+            "def serve():\n"
+            "    return os.fork()\n"
+        )
+        files = []
+        for rel, text in (("pkg/boundary.py", boundary_text),
+                          ("pkg/resources.py", resources_text)):
+            path = tmp_path / rel
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(text)
+            files.append(SourceFile(path, rel, text))
+        return Project(src_files=files)
+
+    def test_helper_returning_a_factory_call_is_followed(self, tmp_path):
+        # Plain assignment, helper returning the factory call directly.
+        text = (
+            "import socket\n"
+            "class Listener:\n"
+            "    def __init__(self):\n"
+            "        self._sock = self._bind()\n"
+            "    def _bind(self):\n"
+            "        return socket.socket()\n"
+        )
+        findings = get_checker("fork-safety").check_project(
+            self.forked_project(tmp_path, text)
+        )
+        assert [f.key.split(":", 2)[-1] for f in findings] == ["Listener._sock"]
+
+    def test_admission_store_is_seen_through_its_helper(self, tmp_path):
+        # The admission store opens its SQLite connection in
+        # ``_open_connection``; without the module's at-fork hook the pass
+        # must flag it, and with the hook it must clear it.
+        source = (REPO_ROOT / "src/repro/service/admission.py").read_text(encoding="utf-8")
+        hook = "os.register_at_fork(after_in_child=_reopen_stores_after_fork)\n"
+        assert source.count(hook) == 1
+        checker = get_checker("fork-safety")
+        assert checker.check_project(self.forked_project(tmp_path, source)) == []
+        unhooked = checker.check_project(
+            self.forked_project(tmp_path, source.replace(hook, ""))
+        )
+        assert [f.key.split(":", 2)[-1] for f in unhooked] == ["AdmissionStore._conn"]
 
     def test_no_fork_boundary_means_no_findings(self, tmp_path):
         # Module-level resources with no fork boundary anywhere in the

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.hardware import WorkStats
 from repro.opencl import (
@@ -13,6 +15,7 @@ from repro.opencl import (
     ArenaExhaustedError,
     BasicAllocator,
     BlockAllocator,
+    DivergenceReport,
     LatchTable,
     concurrent_hardware_threads,
     contention_ratio,
@@ -20,6 +23,54 @@ from repro.opencl import (
     make_allocator,
     wavefront_divergence,
 )
+
+
+def padded_wavefront_divergence(workloads: np.ndarray, width: int) -> DivergenceReport:
+    """Reference: the last wavefront zero-padded to full width, and the
+    lock-step work summed over per-wavefront lane counts."""
+    workloads = np.asarray(workloads, dtype=np.float64)
+    n = workloads.shape[0]
+    if n == 0:
+        return DivergenceReport(useful_work=0.0, lockstep_work=0.0, n_wavefronts=0)
+    n_wavefronts = (n + width - 1) // width
+    padded = np.zeros(n_wavefronts * width, dtype=np.float64)
+    padded[:n] = workloads
+    per_wavefront_max = padded.reshape(n_wavefronts, width).max(axis=1)
+    lane_counts = np.full(n_wavefronts, width, dtype=np.float64)
+    if n % width:
+        lane_counts[-1] = n % width
+    lockstep = float(np.sum(per_wavefront_max * lane_counts))
+    useful = float(np.sum(workloads))
+    return DivergenceReport(useful_work=useful, lockstep_work=lockstep, n_wavefronts=n_wavefronts)
+
+
+@st.composite
+def wavefront_inputs(draw) -> tuple[np.ndarray, int]:
+    """Workloads of length 0-300 (often a multiple of the width or one off
+    it) holding zeros and negatives, with one of the widths 1, 63, 64, 65."""
+    width = draw(st.sampled_from([1, 63, 64, 65]))
+    near_multiple = st.builds(
+        lambda k, off: min(max(k * width + off, 0), 300),
+        st.integers(min_value=0, max_value=300 // width),
+        st.sampled_from([-1, 0, 1]),
+    )
+    n = draw(st.one_of(st.integers(min_value=0, max_value=300), near_multiple))
+    value = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, -0.1]),
+        st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+    )
+    # Items are drawn from a small pool (repeats and ties) or spread
+    # uniformly; building them with NumPy keeps 300-item examples cheap.
+    pool = draw(st.lists(value, min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        values = rng.choice(np.asarray(pool, dtype=np.float64), size=n)
+    else:
+        values = rng.uniform(-1e3, 1e3, size=n)
+    if draw(st.booleans()):
+        # All non-positive: the tail's maximum falls below the padding's 0.0.
+        values = -np.abs(values)
+    return values, width
 
 
 class TestWavefrontDivergence:
@@ -47,6 +98,21 @@ class TestWavefrontDivergence:
     def test_slowdown_at_least_one(self):
         report = wavefront_divergence(np.arange(1, 200, dtype=float))
         assert report.slowdown >= 1.0
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(wavefront_inputs())
+    @example((np.array([-2.0, -1.0, -3.0]), 64))
+    @example((np.full(129, 0.1), 64))
+    def test_copy_free_equals_the_padded_reference(self, inputs):
+        # The full wavefronts are read through a view and the tail as
+        # max(tail.max(), 0.0) * len(tail); both sums see the reference's
+        # values in its order, so the reports are equal, not just close.
+        workloads, width = inputs
+        report = wavefront_divergence(workloads, width)
+        reference = padded_wavefront_divergence(workloads, width)
+        assert report.useful_work == reference.useful_work
+        assert report.lockstep_work == reference.lockstep_work
+        assert report.n_wavefronts == reference.n_wavefronts
 
 
 class TestAtomics:

@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.data import JoinWorkload
 from repro.hashjoin import (
     BUILD_STEPS,
     JoinResult,
     PARTITION_STEPS,
     PROBE_STEPS,
+    PartitionedHashJoin,
     evaluate_grouping,
     evaluate_step_grouping,
     step_by_name,
@@ -23,6 +28,49 @@ from repro.hashjoin.steps import (
     StepExecution,
     StepSeries,
 )
+from repro.opencl import wavefront_divergence
+
+QUANTITY_NAMES = (
+    "instructions",
+    "random_accesses",
+    "sequential_bytes",
+    "global_atomics",
+    "local_atomics",
+)
+
+
+@functools.cache
+def real_uniform_steps() -> dict[str, PerTupleWork]:
+    """The scalar-only b2, b4 and n3 work of a small partitioned join."""
+    workload = JoinWorkload.uniform(2000, 2000, seed=1)
+    run = PartitionedHashJoin().run(workload.build, workload.probe)
+    works = {e.step.name: e.work for series in run.step_series for e in series}
+    return {name: works[name] for name in ("b2", "b4", "n3")}
+
+
+@st.composite
+def uniform_works(draw) -> tuple[PerTupleWork, float]:
+    """A scalar-only PerTupleWork and the one proxy value all its tuples carry.
+
+    Dyadic proxies (whole numbers, multiples of 1/256, the real b2/b4/n3
+    work) take the exact shortcut; 0.1 and arbitrary floats, negative ones
+    too, mostly take the array fallback."""
+    n = draw(st.integers(min_value=1, max_value=3000))
+    source = draw(st.sampled_from(["real", "whole", "k/256", "0.1", "float"]))
+    if source == "real":
+        step = draw(st.sampled_from(["b2", "b4", "n3"]))
+        work = dataclasses.replace(real_uniform_steps()[step], n_tuples=n)
+    else:
+        value = {
+            "whole": st.integers(min_value=0, max_value=10**6).map(float),
+            "k/256": st.integers(min_value=0, max_value=10**6).map(lambda k: k / 256),
+            "0.1": st.just(0.1),
+            "float": st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+        }[source]
+        work = PerTupleWork(n_tuples=n, instructions=draw(value))
+    proxy = (float(work.instructions) + 10.0 * float(work.random_accesses)
+             + 5.0 * float(work.global_atomics))
+    return work, proxy
 
 
 class TestStepDefinitions:
@@ -74,6 +122,44 @@ class TestPerTupleWork:
         work = PerTupleWork(n_tuples=5, instructions=np.ones(3))
         with pytest.raises(ValueError):
             work.total_stats()
+
+    @pytest.mark.parametrize("name", QUANTITY_NAMES)
+    def test_every_quantity_is_length_checked(self, name):
+        # Sums over a short array used to be reported as if it covered every
+        # tuple (sequential_bytes and local_atomics were never checked).
+        for bad in (np.ones(3), np.ones((5, 1))):
+            with pytest.raises(ValueError, match=name):
+                PerTupleWork(n_tuples=5, **{"instructions": 1.0, name: bad}).total_stats()
+        with pytest.raises(ValueError, match=name):
+            PerTupleWork(n_tuples=5, **{name: np.ones(6)}).stats_for_range(2, 2)
+        with pytest.raises(ValueError, match=name):
+            PerTupleWork(n_tuples=5, **{name: np.ones(4)}).workload_proxy()
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(uniform_works(), st.data(), st.booleans(),
+           st.sampled_from([1, 16, 63, 64, 65, 256]))
+    def test_uniform_step_divergence_matches_the_array(self, work_and_proxy, data, grouped,
+                                                       width):
+        work, proxy = work_and_proxy
+        start = data.draw(st.integers(min_value=0, max_value=work.n_tuples - 1))
+        stop = data.draw(st.integers(min_value=start + 1, max_value=work.n_tuples))
+        stats = work.stats_for_range(start, stop, wavefront_width=width, grouped=grouped)
+        expected = wavefront_divergence(np.full(stop - start, proxy), width).divergence
+        assert stats.divergence == expected
+
+    def test_inexact_uniform_step_keeps_its_rounding_divergence(self):
+        # 0.1 is not dyadic: six copies sum with rounding, so the array path
+        # runs and the step reports the same tiny nonzero divergence.
+        work = PerTupleWork(n_tuples=6, instructions=0.1)
+        divergence = work.total_stats(wavefront_width=63).divergence
+        assert divergence != 0.0
+        assert divergence == wavefront_divergence(np.full(6, 0.1), 63).divergence
+
+    def test_uniform_step_rejects_nonpositive_width(self):
+        work = PerTupleWork(n_tuples=10, instructions=1.0, random_accesses=1.0)
+        for width in (0, -64):
+            with pytest.raises(ValueError):
+                work.total_stats(wavefront_width=width)
 
     def test_conflict_ratio_passthrough(self):
         work = PerTupleWork(n_tuples=10, instructions=1.0, global_atomics=1.0)
