@@ -146,24 +146,12 @@ class _Resource:
 class _ModuleFacts:
     fork_sites: list[ast.Call] = field(default_factory=list)
     resources: list[_Resource] = field(default_factory=list)
-    #: Class name -> set of fork-hostile kinds stored on ``self``.
-    hostile_classes: dict[str, set[str]] = field(default_factory=dict)
     #: Names referenced by ``os.register_at_fork`` handlers in this module.
     atfork_names: set[str] = field(default_factory=set)
     has_atfork: bool = False
     #: Names / ``self.attr`` strings referenced inside ``if pid == 0:``
     #: child branches of this module's own fork sites.
     child_branch_names: set[str] = field(default_factory=set)
-
-
-class _FunctionScan:
-    """Names assigned resource values inside one function body."""
-
-    def __init__(self, graph: ModuleGraph, info: ModuleInfo) -> None:
-        self.graph = graph
-        self.info = info
-        #: local/global name -> (kind, node)
-        self.resource_locals: dict[str, tuple[str, ast.AST]] = {}
 
 
 class ForkSafetyChecker(Checker):
@@ -281,15 +269,12 @@ class ForkSafetyChecker(Checker):
                 )
                 self._record_assignment(graph, info, facts, targets, value, None)
 
-        # Pass C: hostile classes + function bodies (global assignments,
+        # Pass C: class resources + function bodies (global assignments,
         # container stores, child branches).
-        class_kinds: dict[str, set[str]] = {}
-        for cls in info.classes.values():
-            kinds = self._class_resource_kinds(graph, info, cls)
-            hostile = kinds & _HOSTILE_CLASS_KINDS
-            class_kinds[cls.name] = kinds
-            if hostile:
-                facts.hostile_classes[cls.name] = hostile
+        class_kinds = {
+            cls.name: self._class_resource_kinds(graph, info, cls)
+            for cls in info.classes.values()
+        }
         # Record class resources as findings-to-be (anchor: the assignment).
         for cls in info.classes.values():
             for attr, (kind, node) in self._class_resource_attrs(

@@ -8,15 +8,25 @@ The structure follows the implementation adopted from previous studies
 * a **key list** of nodes, one per distinct key hashing into the bucket, each
   pointing at a **rid list** of all record ids carrying that key.
 
-All nodes live inside a pre-allocated arena served by one of the software
-memory allocators of :mod:`repro.opencl.allocator`, so the allocator's atomic
-behaviour (basic vs. block) directly shows up in the build cost.
+Every caller builds a table from one batch and probes it once, so
+:meth:`HashTable.bulk_insert` builds the whole table from one stable
+(bucket, key) radix sort of its batch and a second build is refused.  Each
+(bucket, key) group becomes one key node; the nodes lie in (bucket, key)
+order, so each bucket's key list is a run of consecutive nodes in ascending
+key order, and the group's sorted rids, delimited by the group starts, are
+its rid list in build order.
 
-The table offers both a per-tuple reference path (:meth:`HashTable.insert`
-and :meth:`HashTable.probe_one`) used by unit tests and small runs, and bulk
-vectorised paths (:meth:`HashTable.bulk_insert`, :meth:`HashTable.bulk_probe`)
-used at experiment scale.  Both paths maintain the identical node-array
-structure and report the identical per-tuple work quantities.
+The simulated work comes from that layout, as Algorithm 1 walks it.  In b3
+a build tuple visits its key list up to its key: the key node's rank in its
+bucket plus one; the first tuple of a group creates the node.  In p3 a probe
+that finds its key visits as many nodes; a miss visits the whole key list,
+which is none in an empty bucket.  p4 reads the key's rid list.
+
+Key and rid nodes are charged to one of the software memory allocators of
+:mod:`repro.opencl.allocator`, so the allocator's atomic behaviour (basic vs.
+block) directly shows up in the build cost.  The node sizes below are those
+of the paper's linked nodes: they are what the simulated caches and buffers
+hold, whatever arrays this module keeps.
 """
 
 from __future__ import annotations
@@ -118,14 +128,17 @@ def radix_digits(*columns: np.ndarray) -> list[np.ndarray]:
 
 
 class HashTable:
-    """Bucket headers -> key lists -> rid lists, backed by a software allocator."""
+    """Bucket headers -> key lists -> rid lists, backed by a software allocator.
+
+    The key nodes are the arrays ``key_node_*`` in (bucket, key) order.  Key
+    node ``i``'s rid list is ``rid_lists[rid_offsets[i]:rid_offsets[i + 1]]``.
+    """
 
     def __init__(
         self,
         n_buckets: int,
         allocator: MemoryAllocator | None = None,
         shared_between_devices: bool = True,
-        initial_capacity: int = 1024,
     ) -> None:
         if n_buckets <= 0:
             raise HashTableError("n_buckets must be positive")
@@ -136,79 +149,32 @@ class HashTable:
         # Bucket headers.
         self.bucket_tuple_count = np.zeros(self.n_buckets, dtype=np.int64)
         self.bucket_key_count = np.zeros(self.n_buckets, dtype=np.int64)
-        self.bucket_head = np.full(self.n_buckets, -1, dtype=np.int64)
-        self.bucket_tail = np.full(self.n_buckets, -1, dtype=np.int64)
         self.latches = LatchTable(self.n_buckets)
 
-        # Key-list nodes.
-        capacity = max(int(initial_capacity), 16)
-        self.key_node_key = np.empty(capacity, dtype=np.int64)
-        self.key_node_next = np.empty(capacity, dtype=np.int64)
-        self.key_node_rid_head = np.empty(capacity, dtype=np.int64)
-        self.key_node_rid_count = np.empty(capacity, dtype=np.int64)
-        self.key_node_chain_pos = np.empty(capacity, dtype=np.int64)
-        self.key_node_bucket = np.empty(capacity, dtype=np.int64)
-        self.n_key_nodes = 0
+        # Key nodes, and each node's rank in its bucket's key list.
+        self.key_node_key = np.empty(0, dtype=np.int64)
+        self.key_node_bucket = np.empty(0, dtype=np.int64)
+        self.key_node_chain_pos = np.empty(0, dtype=np.int64)
 
-        # Rid-list nodes.
-        self.rid_node_rid = np.empty(capacity, dtype=np.int64)
-        self.rid_node_next = np.empty(capacity, dtype=np.int64)
-        self.rid_node_owner = np.empty(capacity, dtype=np.int64)
-        self.n_rid_nodes = 0
+        # Rid lists, back to back in key-node order.
+        self.rid_offsets = np.zeros(1, dtype=np.int64)
+        self.rid_lists = np.empty(0, dtype=np.int64)
 
-        # Lazily built CSR view of the rid lists for vectorised probing.
-        self._csr_dirty = True
-        self._csr_offsets: np.ndarray | None = None
-        self._csr_rids: np.ndarray | None = None
-
-        # Lazily sorted key-node keys shared by lookups and probes.
-        self._key_order_dirty = True
-        self._key_order: np.ndarray | None = None
-        self._sorted_keys: np.ndarray | None = None
-
-    # ------------------------------------------------------------------
-    # Capacity management
-    # ------------------------------------------------------------------
-    def _ensure_key_capacity(self, extra: int) -> None:
-        needed = self.n_key_nodes + extra
-        capacity = self.key_node_key.shape[0]
-        if needed <= capacity:
-            return
-        new_capacity = max(needed, capacity * 2)
-        for name in (
-            "key_node_key",
-            "key_node_next",
-            "key_node_rid_head",
-            "key_node_rid_count",
-            "key_node_chain_pos",
-            "key_node_bucket",
-        ):
-            old = getattr(self, name)
-            # Amortised doubling: this loop runs once per capacity level,
-            # not per tuple, and the new buffer *is* the workspace.
-            grown = np.empty(new_capacity, dtype=np.int64)  # repro: ignore[numpy-hygiene]
-            grown[: self.n_key_nodes] = old[: self.n_key_nodes]
-            setattr(self, name, grown)
-
-    def _ensure_rid_capacity(self, extra: int) -> None:
-        needed = self.n_rid_nodes + extra
-        capacity = self.rid_node_rid.shape[0]
-        if needed <= capacity:
-            return
-        new_capacity = max(needed, capacity * 2)
-        for name in ("rid_node_rid", "rid_node_next", "rid_node_owner"):
-            old = getattr(self, name)
-            # Amortised doubling, as in _ensure_key_capacity above.
-            grown = np.empty(new_capacity, dtype=np.int64)  # repro: ignore[numpy-hygiene]
-            grown[: self.n_rid_nodes] = old[: self.n_rid_nodes]
-            setattr(self, name, grown)
+        # The key nodes in key order, for probes: their keys and node ids.
+        self._sorted_keys = np.empty(0, dtype=np.int64)
+        self._key_order = np.empty(0, dtype=np.int64)
+        self._built = False
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def n_tuples(self) -> int:
-        return self.n_rid_nodes
+    def n_key_nodes(self) -> int:
+        return self.key_node_key.shape[0]
+
+    @property
+    def n_rid_nodes(self) -> int:
+        return self.rid_lists.shape[0]
 
     @property
     def nbytes(self) -> int:
@@ -225,144 +191,23 @@ class HashTable:
             shared_between_devices=self.shared_between_devices,
         )
 
-    def chain_length(self, bucket: int) -> int:
-        """Number of key nodes in one bucket's key list."""
-        return int(self.bucket_key_count[bucket])
-
     def latch_conflict_ratio(self, device_kind: str) -> float:
         """Bucket-latch contention observed so far on one device kind."""
         threads = concurrent_hardware_threads(device_kind)
         return self.latches.conflict_ratio(threads)
 
     # ------------------------------------------------------------------
-    # Per-tuple reference path
+    # Build and probe
     # ------------------------------------------------------------------
-    def insert(self, key: int, rid: int, bucket: int) -> tuple[int, bool]:
-        """Insert one tuple; returns (key nodes visited, created new key node).
-
-        This is the literal Algorithm 1 build loop (steps b2-b4 for one tuple)
-        and is used by tests and the reference executor.
-        """
-        if not 0 <= bucket < self.n_buckets:
-            raise HashTableError(f"bucket {bucket} out of range")
-        key = int(key)
-        rid = int(rid)
-
-        # b2: visit the bucket header.
-        self.latches.acquire_release(bucket)
-        self.bucket_tuple_count[bucket] += 1
-
-        # b3: walk the key list looking for the key.
-        visited = 0
-        node = self.bucket_head[bucket]
-        found = -1
-        last = -1
-        while node != -1:
-            visited += 1
-            if self.key_node_key[node] == key:
-                found = node
-                break
-            last = node
-            node = self.key_node_next[node]
-
-        created = False
-        if found == -1:
-            created = True
-            visited += 1
-            self._ensure_key_capacity(1)
-            self.allocator.allocate(KEY_NODE_BYTES, group_id=bucket % 64)
-            found = self.n_key_nodes
-            self.key_node_key[found] = key
-            self.key_node_next[found] = -1
-            self.key_node_rid_head[found] = -1
-            self.key_node_rid_count[found] = 0
-            self.key_node_chain_pos[found] = self.bucket_key_count[bucket]
-            self.key_node_bucket[found] = bucket
-            self.n_key_nodes += 1
-            self._key_order_dirty = True
-            if last == -1 and self.bucket_head[bucket] == -1:
-                self.bucket_head[bucket] = found
-            else:
-                tail = self.bucket_tail[bucket]
-                self.key_node_next[tail] = found
-            self.bucket_tail[bucket] = found
-            self.bucket_key_count[bucket] += 1
-
-        # b4: insert the record id into the rid list (prepend).
-        self._ensure_rid_capacity(1)
-        self.allocator.allocate(RID_NODE_BYTES, group_id=bucket % 64)
-        rid_node = self.n_rid_nodes
-        self.rid_node_rid[rid_node] = rid
-        self.rid_node_next[rid_node] = self.key_node_rid_head[found]
-        self.rid_node_owner[rid_node] = found
-        self.key_node_rid_head[found] = rid_node
-        self.key_node_rid_count[found] += 1
-        self.n_rid_nodes += 1
-        self._csr_dirty = True
-        return visited, created
-
-    def probe_one(self, key: int, bucket: int) -> tuple[list[int], int]:
-        """Probe one key; returns (matching build rids, key nodes visited)."""
-        if not 0 <= bucket < self.n_buckets:
-            raise HashTableError(f"bucket {bucket} out of range")
-        visited = 0
-        node = self.bucket_head[bucket]
-        while node != -1:
-            visited += 1
-            if self.key_node_key[node] == int(key):
-                rids: list[int] = []
-                rid_node = self.key_node_rid_head[node]
-                while rid_node != -1:
-                    rids.append(int(self.rid_node_rid[rid_node]))
-                    rid_node = self.rid_node_next[rid_node]
-                return rids, visited
-            node = self.key_node_next[node]
-        return [], visited
-
-    # ------------------------------------------------------------------
-    # Bulk (vectorised) path
-    # ------------------------------------------------------------------
-    def _sorted_key_view(self) -> tuple[np.ndarray, np.ndarray]:
-        """(sorted live key-node keys, stable sort order), cached until inserts."""
-        if self._key_order_dirty or self._key_order is None:
-            table_keys = self.key_node_key[: self.n_key_nodes]
-            self._key_order = np.lexsort(radix_digits(table_keys))
-            self._sorted_keys = table_keys[self._key_order]
-            self._key_order_dirty = False
-        return self._sorted_keys, self._key_order
-
-    def _lookup_nodes(self, keys: np.ndarray) -> np.ndarray:
-        """Key-node index per key (-1 when absent), fully vectorised.
-
-        Binary-searches the queries against the cached sorted key view in
-        key order: each search then starts where the previous one ended, so
-        the table's keys are read in one ascending sweep instead of at
-        random.  The positions are scattered back to the query order.  The
-        common build path (bulk inserts into a fresh table) skips all of
-        this via the empty check.
-        """
-        if self.n_key_nodes == 0:
-            return np.full(keys.shape[0], -1, dtype=np.int64)
-        sorted_table_keys, key_order = self._sorted_key_view()
-        query_order = np.lexsort(radix_digits(keys))
-        positions = np.empty(keys.shape[0], dtype=np.int64)
-        positions[query_order] = np.searchsorted(sorted_table_keys, keys[query_order])
-        positions_clipped = np.minimum(positions, self.n_key_nodes - 1)
-        found = (positions < self.n_key_nodes) & (
-            sorted_table_keys[positions_clipped] == keys
-        )
-        return np.where(found, key_order[positions_clipped], -1)
-
     def bulk_insert(
         self,
         keys: np.ndarray,
         rids: np.ndarray,
         buckets: np.ndarray,
     ) -> BuildWork:
-        """Insert a batch of tuples; returns per-tuple work in input order.
+        """Build the table from one batch; returns per-tuple work in input order.
 
-        The resulting node structure is identical (up to chain ordering) to
-        issuing :meth:`insert` per tuple.
+        Raises :class:`HashTableError` when the table is already built.
         """
         keys = np.asarray(keys, dtype=np.int64)
         rids = np.asarray(rids, dtype=np.int64)
@@ -370,74 +215,52 @@ class HashTable:
         n = keys.shape[0]
         if rids.shape[0] != n or buckets.shape[0] != n:
             raise HashTableError("keys, rids and buckets must have the same length")
+        if self._built:
+            raise HashTableError("the table is already built; build a new one")
+        if n and (buckets.min() < 0 or buckets.max() >= self.n_buckets):
+            raise HashTableError("bucket numbers out of range")
+        self._built = True
         if n == 0:
             return BuildWork(
                 n_tuples=0,
                 key_nodes_visited=np.empty(0, dtype=np.float64),
                 new_key_created=np.empty(0, dtype=np.float64),
             )
-        if buckets.min() < 0 or buckets.max() >= self.n_buckets:
-            raise HashTableError("bucket numbers out of range")
 
         # Group tuples by (bucket, key).  The sort must be stable: it fixes
         # the order of each key's rid list, and with it the result order.
         order = np.lexsort(radix_digits(keys, buckets))
         s_keys = keys[order]
-        s_rids = rids[order]
         s_buckets = buckets[order]
         boundary = np.ones(n, dtype=bool)
         boundary[1:] = (s_keys[1:] != s_keys[:-1]) | (s_buckets[1:] != s_buckets[:-1])
-        group_of_tuple = np.cumsum(boundary) - 1
         group_starts = np.flatnonzero(boundary)
-        group_keys = s_keys[group_starts]
-        group_buckets = s_buckets[group_starts]
-        n_groups = group_keys.shape[0]
-
-        # Which groups hit an already-existing key node?
-        existing_nodes = self._lookup_nodes(group_keys)
-        is_new = existing_nodes < 0
-        n_new = int(is_new.sum())
 
         # b2: one bucket-header visit (and latch) per tuple.
-        np.add.at(self.bucket_tuple_count, s_buckets, 1)
-        np.add.at(self.latches.acquisitions, s_buckets, 1)
+        self.bucket_tuple_count = np.bincount(buckets, minlength=self.n_buckets)
+        self.latches.acquisitions += self.bucket_tuple_count
 
-        # b3 new key nodes: append them to their buckets' chains.
-        group_node = existing_nodes.copy()
-        if n_new:
-            group_node[is_new] = self._append_key_nodes(
-                group_keys[is_new], group_buckets[is_new]
-            )
+        # b3: one key node per group, ranked inside its bucket.
+        self.key_node_key = s_keys[group_starts]
+        self.key_node_bucket = s_buckets[group_starts]
+        self.bucket_key_count = np.bincount(self.key_node_bucket, minlength=self.n_buckets)
+        first_node = np.cumsum(self.bucket_key_count) - self.bucket_key_count
+        n_nodes = group_starts.shape[0]
+        self.key_node_chain_pos = np.arange(n_nodes) - first_node[self.key_node_bucket]
+        self.allocator.bulk_allocate(n_nodes, KEY_NODE_BYTES)
+        self._key_order = np.lexsort(radix_digits(self.key_node_key))
+        self._sorted_keys = self.key_node_key[self._key_order]
 
-        # b4: one rid node per tuple, prepended group-wise to the key's list.
-        self._ensure_rid_capacity(n)
-        self.allocator.bulk_allocate(n, RID_NODE_BYTES, n_groups=max(1, n // 256))
-        rid_ids = self.n_rid_nodes + np.arange(n, dtype=np.int64)
-        owner = group_node[group_of_tuple]
-        self.rid_node_rid[rid_ids] = s_rids
-        self.rid_node_owner[rid_ids] = owner
-        # Chain tuples of the same group consecutively; the last tuple of each
-        # group points at the key node's previous head.
-        next_rid = np.full(n, -1, dtype=np.int64)
-        same_group_as_next = np.zeros(n, dtype=bool)
-        same_group_as_next[:-1] = group_of_tuple[1:] == group_of_tuple[:-1]
-        next_rid[same_group_as_next] = rid_ids[1:][same_group_as_next[:-1]]
-        group_last_index = np.append(group_starts[1:], n) - 1
-        next_rid[group_last_index] = self.key_node_rid_head[group_node]
-        self.rid_node_next[rid_ids] = next_rid
-        self.key_node_rid_head[group_node] = rid_ids[group_starts]
-        np.add.at(self.key_node_rid_count, owner, 1)
-        self.n_rid_nodes += n
-        self._csr_dirty = True
+        # b4: one rid node per tuple; each group's sorted rids are its list.
+        self.rid_lists = rids[order]
+        self.rid_offsets = np.append(group_starts, n)
+        self.allocator.bulk_allocate(n, RID_NODE_BYTES)
 
-        # Per-tuple b3 traversal lengths, mapped back to the input order.
-        visited_sorted = self.key_node_chain_pos[owner].astype(np.float64) + 1.0
-        created_sorted = np.zeros(n, dtype=np.float64)
-        created_sorted[group_starts[is_new]] = 1.0
+        # Per-tuple b3 work, mapped back to the input order.
         visited = np.empty(n, dtype=np.float64)
-        created = np.empty(n, dtype=np.float64)
-        visited[order] = visited_sorted
-        created[order] = created_sorted
+        visited[order] = np.repeat(self.key_node_chain_pos + 1.0, np.diff(self.rid_offsets))
+        created = np.zeros(n, dtype=np.float64)
+        created[order[group_starts]] = 1.0
 
         conflict = {
             "cpu": self.latch_conflict_ratio("cpu"),
@@ -450,73 +273,25 @@ class HashTable:
             latch_conflict=conflict,
         )
 
-    def _append_key_nodes(self, new_keys: np.ndarray, new_buckets: np.ndarray) -> np.ndarray:
-        """Append new key nodes to their buckets' chains; returns their ids.
+    def _lookup_nodes(self, keys: np.ndarray) -> np.ndarray:
+        """Key-node index per key (-1 when absent), fully vectorised.
 
-        ``new_buckets`` must arrive grouped (all nodes of one bucket
-        consecutive) in the order the nodes should chain up — the
-        ``(bucket, key)``-sorted group order :meth:`bulk_insert` produces.
+        Binary-searches the queries against the sorted key view in key
+        order: each search then starts where the previous one ended, so the
+        table's keys are read in one ascending sweep instead of at random.
+        The positions are scattered back to the query order.
         """
-        n_new = new_keys.shape[0]
-        self._ensure_key_capacity(n_new)
-        self.allocator.bulk_allocate(
-            n_new, KEY_NODE_BYTES, n_groups=max(1, n_new // 256)
+        if self.n_key_nodes == 0:
+            return np.full(keys.shape[0], -1, dtype=np.int64)
+        sorted_table_keys = self._sorted_keys
+        query_order = np.lexsort(radix_digits(keys))
+        positions = np.empty(keys.shape[0], dtype=np.int64)
+        positions[query_order] = np.searchsorted(sorted_table_keys, keys[query_order])
+        positions_clipped = np.minimum(positions, self.n_key_nodes - 1)
+        found = (positions < self.n_key_nodes) & (
+            sorted_table_keys[positions_clipped] == keys
         )
-        new_node_ids = self.n_key_nodes + np.arange(n_new, dtype=np.int64)
-
-        # Rank of each new key inside its bucket's run of new keys.
-        run_start = np.ones(n_new, dtype=bool)
-        run_start[1:] = new_buckets[1:] != new_buckets[:-1]
-        run_first_index = np.flatnonzero(run_start)
-        run_id = np.cumsum(run_start) - 1
-        rank_in_run = np.arange(n_new) - run_first_index[run_id]
-        chain_pos = self.bucket_key_count[new_buckets] + rank_in_run
-
-        self.key_node_key[new_node_ids] = new_keys
-        self.key_node_rid_head[new_node_ids] = -1
-        self.key_node_rid_count[new_node_ids] = 0
-        self.key_node_chain_pos[new_node_ids] = chain_pos
-        self.key_node_bucket[new_node_ids] = new_buckets
-
-        # next pointers: consecutive new nodes of the same bucket chain up;
-        # the last node of each run terminates the chain.
-        next_ids = np.full(n_new, -1, dtype=np.int64)
-        same_bucket_as_next = np.zeros(n_new, dtype=bool)
-        same_bucket_as_next[:-1] = new_buckets[1:] == new_buckets[:-1]
-        next_ids[same_bucket_as_next] = new_node_ids[1:][same_bucket_as_next[:-1]]
-        self.key_node_next[new_node_ids] = next_ids
-
-        # Attach each run to the existing chain (tail append) or make it
-        # the bucket head.
-        run_first_nodes = new_node_ids[run_first_index]
-        run_buckets = new_buckets[run_first_index]
-        run_last_index = np.append(run_first_index[1:], n_new) - 1
-        run_last_nodes = new_node_ids[run_last_index]
-        had_tail = self.bucket_tail[run_buckets] >= 0
-        tails = self.bucket_tail[run_buckets][had_tail]
-        self.key_node_next[tails] = run_first_nodes[had_tail]
-        self.bucket_head[run_buckets[~had_tail]] = run_first_nodes[~had_tail]
-        self.bucket_tail[run_buckets] = run_last_nodes
-
-        run_sizes = np.diff(np.append(run_first_index, n_new))
-        np.add.at(self.bucket_key_count, run_buckets, run_sizes)
-
-        self.n_key_nodes += n_new
-        self._key_order_dirty = True
-        return new_node_ids
-
-    def _rebuild_csr(self) -> None:
-        """Materialise rid lists as a CSR layout keyed by key-node index."""
-        n = self.n_rid_nodes
-        owners = self.rid_node_owner[:n]
-        rids = self.rid_node_rid[:n]
-        order = np.argsort(owners, kind="stable")
-        sorted_owners = owners[order]
-        counts = np.zeros(self.n_key_nodes + 1, dtype=np.int64)
-        np.add.at(counts, sorted_owners + 1, 1)
-        self._csr_offsets = np.cumsum(counts)
-        self._csr_rids = rids[order]
-        self._csr_dirty = False
+        return np.where(found, self._key_order[positions_clipped], -1)
 
     def bulk_probe(
         self,
@@ -537,40 +312,30 @@ class HashTable:
                 key_nodes_visited=np.empty(0, dtype=np.float64),
                 matches=np.empty(0, dtype=np.float64),
             )
+        if buckets.min() < 0 or buckets.max() >= self.n_buckets:
+            raise HashTableError("bucket numbers out of range")
 
-        if self._csr_dirty:
-            self._rebuild_csr()
-
-        # p3: locate the probe key among the table's key nodes.  A miss walks
-        # the whole chain, so it visits 0 nodes in an empty bucket.
-        node_of_probe = self._lookup_nodes(keys)
-        found_mask = node_of_probe >= 0
-        safe_node = np.maximum(node_of_probe, 0)
-        chain_lengths = self.bucket_key_count[buckets].astype(np.float64)
-        visited = np.where(
-            found_mask,
-            self.key_node_chain_pos[safe_node].astype(np.float64) + 1.0,
-            chain_lengths,
-        )
+        # p3: locate the probe key among the table's key nodes.  A hit visits
+        # the key list up to its node; a miss walks the whole list.
+        node = self._lookup_nodes(keys)
+        found = node >= 0
+        hit_nodes = node[found]
+        visited = self.bucket_key_count[buckets].astype(np.float64)
+        visited[found] = self.key_node_chain_pos[hit_nodes] + 1.0
 
         # p4: fetch the matching rid lists.
-        match_counts = np.where(
-            found_mask, self.key_node_rid_count[safe_node], 0
-        ).astype(np.int64)
-        total = int(match_counts.sum())
+        starts = self.rid_offsets[hit_nodes]
+        hit_counts = self.rid_offsets[hit_nodes + 1] - starts
+        match_counts = np.zeros(n, dtype=np.int64)
+        match_counts[found] = hit_counts
+        total = int(hit_counts.sum())
         if total:
-            offsets = self._csr_offsets
-            csr_rids = self._csr_rids
-            starts = offsets[safe_node]
-            out_offsets = np.concatenate(([0], np.cumsum(match_counts)[:-1]))
-            flat = (
-                np.arange(total)
-                - np.repeat(out_offsets, match_counts)
-                + np.repeat(starts, match_counts)
+            out_starts = np.cumsum(hit_counts) - hit_counts
+            flat = np.arange(total) + np.repeat(starts - out_starts, hit_counts)
+            result = JoinResult(
+                build_rids=self.rid_lists[flat],
+                probe_rids=np.repeat(rids, match_counts),
             )
-            build_out = csr_rids[flat]
-            probe_out = np.repeat(rids, match_counts)
-            result = JoinResult(build_rids=build_out, probe_rids=probe_out)
         else:
             result = JoinResult.empty()
 
@@ -583,56 +348,39 @@ class HashTable:
 
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Internal consistency checks used by tests and property-based tests.
+        """Check the invariants of the table's arrays (used by tests).
 
-        Raises on wrong counts, broken or cyclic chains and nodes that are
-        unreachable from their bucket heads, with vectorised comparisons
-        over the node arrays.
+        The key nodes must lie in strictly ascending (bucket, key) order
+        with their ranks as chain positions, the bucket headers must count
+        them and their rids, and the offsets must cut every rid into exactly
+        one non-empty rid list.
         """
-        if int(self.bucket_key_count.sum()) != self.n_key_nodes:
-            raise HashTableError("bucket key counts do not sum to the key node count")
-        if int(self.bucket_tuple_count.sum()) != self.n_rid_nodes:
-            raise HashTableError("bucket tuple counts do not sum to the rid node count")
-        if int(self.key_node_rid_count[: self.n_key_nodes].sum()) != self.n_rid_nodes:
-            raise HashTableError("key node rid counts do not sum to the rid node count")
-
-        # Every chain must be reachable and contain exactly bucket_key_count
-        # nodes.  A chain is healthy iff, per bucket, the live nodes' chain
-        # positions are exactly 0..count-1, the head points at position 0,
-        # the tail at the last position, and every next pointer links
-        # position k to position k+1 — all checkable with one lexsort.
-        nk = self.n_key_nodes
-        buckets = self.key_node_bucket[:nk]
-        if nk and (buckets.min() < 0 or buckets.max() >= self.n_buckets):
+        nodes = self.key_node_bucket
+        n_nodes = nodes.shape[0]
+        if n_nodes and (nodes.min() < 0 or nodes.max() >= self.n_buckets):
             raise HashTableError("key node bucket out of range")
-        counts = np.bincount(buckets, minlength=self.n_buckets)
-        if not np.array_equal(counts, self.bucket_key_count):
+        same_bucket = nodes[1:] == nodes[:-1]
+        if np.any(nodes[1:] < nodes[:-1]) or np.any(
+            same_bucket & (self.key_node_key[1:] <= self.key_node_key[:-1])
+        ):
+            raise HashTableError("key nodes are not in ascending (bucket, key) order")
+        if not np.array_equal(np.bincount(nodes, minlength=self.n_buckets), self.bucket_key_count):
             raise HashTableError("chain lengths do not match recorded bucket key counts")
-        if np.any(self.bucket_head[self.bucket_key_count == 0] != -1):
-            raise HashTableError("empty bucket with a non-empty chain head")
-        if nk == 0:
-            return
-        pos = self.key_node_chain_pos[:nk]
-        order = np.lexsort((pos, buckets))
-        sorted_buckets = buckets[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], sorted_buckets[1:] != sorted_buckets[:-1]))
-        )
-        sizes = np.diff(np.append(starts, nk))
-        expected_pos = np.arange(nk) - np.repeat(starts, sizes)
-        if not np.array_equal(pos[order], expected_pos):
-            raise HashTableError("chain positions are not consecutive within buckets")
-        nodes_sorted = order.astype(np.int64)
-        expected_next = np.full(nk, -1, dtype=np.int64)
-        same_bucket = sorted_buckets[1:] == sorted_buckets[:-1]
-        expected_next[:-1][same_bucket] = nodes_sorted[1:][same_bucket]
-        if not np.array_equal(self.key_node_next[nodes_sorted], expected_next):
-            raise HashTableError("key chain next pointers are inconsistent")
-        if not np.array_equal(self.bucket_head[sorted_buckets[starts]], nodes_sorted[starts]):
-            raise HashTableError("bucket heads do not point at chain position 0")
-        last = np.append(starts[1:], nk) - 1
-        if not np.array_equal(self.bucket_tail[sorted_buckets[last]], nodes_sorted[last]):
-            raise HashTableError("bucket tails do not point at the last chain node")
+        first_node = np.cumsum(self.bucket_key_count) - self.bucket_key_count
+        if not np.array_equal(self.key_node_chain_pos, np.arange(n_nodes) - first_node[nodes]):
+            raise HashTableError("chain positions are not ranks within buckets")
+        offsets = self.rid_offsets
+        list_sizes = np.diff(offsets)
+        if (
+            offsets.shape[0] != n_nodes + 1
+            or offsets[0] != 0
+            or offsets[-1] != self.n_rid_nodes
+            or np.any(list_sizes <= 0)
+        ):
+            raise HashTableError("rid offsets do not cut the rids into non-empty lists")
+        tuples = np.bincount(nodes, weights=list_sizes, minlength=self.n_buckets)
+        if not np.array_equal(tuples, self.bucket_tuple_count):
+            raise HashTableError("bucket tuple counts do not match the rid lists")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -303,7 +303,7 @@ def _partition_pass_series(
 
     # n3: write the <key, rid> pair into its partition's output buffer.
     galloc, lalloc = allocator.atomics_per_request(PARTITION_SLOT_BYTES)
-    allocator.bulk_allocate(n, PARTITION_SLOT_BYTES, n_groups=max(1, n // 256))
+    allocator.bulk_allocate(n, PARTITION_SLOT_BYTES)
     n3 = StepExecution(
         step=PARTITION_STEPS[2],
         work=PerTupleWork(

@@ -121,8 +121,8 @@ class MemoryAllocator:
         """
         raise NotImplementedError
 
-    def bulk_allocate(self, n_requests: int, request_bytes: int, n_groups: int = 1) -> int:
-        """Serve ``n_requests`` equal-sized requests issued by ``n_groups`` work groups.
+    def bulk_allocate(self, n_requests: int, request_bytes: int) -> int:
+        """Serve ``n_requests`` equal-sized requests at once.
 
         This is the vectorised equivalent of calling :meth:`allocate` once per
         request: the arena pointer advances by the total size, and the atomic
@@ -203,8 +203,11 @@ class BlockAllocator(MemoryAllocator):
 
     def __init__(self, arena: Arena, block_bytes: int = DEFAULT_BLOCK_BYTES) -> None:
         super().__init__(arena)
-        if block_bytes <= 0:
-            raise ValueError("block_bytes must be positive")
+        # A power-of-two block holds a whole number of every power-of-two
+        # request, so each request's share of a block's global atomic is
+        # dyadic and a uniform step's workload proxy stays exact.
+        if block_bytes <= 0 or block_bytes & (block_bytes - 1):
+            raise ValueError(f"block_bytes must be a positive power of two, got {block_bytes}")
         self.block_bytes = block_bytes
         # group_id -> (next offset within block, remaining bytes)
         self._group_blocks: dict[int, tuple[int, int]] = {}
@@ -259,6 +262,6 @@ def make_allocator(
     arena = arena or Arena(capacity_bytes)
     if kind == "basic":
         return BasicAllocator(arena)
-    if kind in ("block", "optimized", "ours"):
+    if kind == "block":
         return BlockAllocator(arena, block_bytes=block_bytes)
     raise ValueError(f"unknown allocator kind {kind!r}; expected 'basic' or 'block'")

@@ -28,10 +28,6 @@ class LatchTable:
         self.n_latches = n_latches
         self.acquisitions = np.zeros(n_latches, dtype=np.int64)
 
-    def acquire_release(self, index: int) -> None:
-        """Record one acquire/release on latch ``index``."""
-        self.acquisitions[index % self.n_latches] += 1
-
     @property
     def total_acquisitions(self) -> int:
         return int(self.acquisitions.sum())

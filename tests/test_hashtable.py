@@ -1,4 +1,4 @@
-"""Unit tests for the chained hash table (per-tuple and bulk paths)."""
+"""Unit tests for the chained hash table, built once and probed in bulk."""
 
 from __future__ import annotations
 
@@ -14,11 +14,11 @@ from repro.hashjoin import (
 from repro.opencl import make_allocator
 
 
-def build_table(keys, rids=None, n_buckets=16, allocator_kind="block") -> HashTable:
+def build_table(keys, rids=None, n_buckets=16, allocator_kind="block", buckets=None) -> HashTable:
     keys = np.asarray(keys, dtype=np.int64)
     rids = np.arange(len(keys), dtype=np.int64) if rids is None else np.asarray(rids)
     table = HashTable(n_buckets=n_buckets, allocator=make_allocator(allocator_kind))
-    buckets = bucket_of(keys, n_buckets)
+    buckets = bucket_of(keys, n_buckets) if buckets is None else np.asarray(buckets)
     table.bulk_insert(keys, rids, buckets)
     return table
 
@@ -31,51 +31,53 @@ class TestDefaultBucketCount:
             assert count >= min(n, 16)
 
 
+def probe_one(table: HashTable, key: int, bucket: int) -> tuple[list[int], float]:
+    """(matching build rids in order, key nodes visited) of one probe tuple."""
+    result, work = table.bulk_probe(np.array([key]), np.array([0]), np.array([bucket]))
+    return result.build_rids.tolist(), float(work.key_nodes_visited[0])
+
+
 class TestPerTupleInsertProbe:
+    """What Algorithm 1 reports for single tuples, through the bulk paths."""
+
     def test_insert_then_probe_finds_rid(self):
         table = HashTable(n_buckets=8, allocator=make_allocator("block"))
-        visited, created = table.insert(key=5, rid=42, bucket=3)
-        assert created
-        assert visited >= 1
-        rids, _ = table.probe_one(key=5, bucket=3)
+        work = table.bulk_insert(np.array([5]), np.array([42]), np.array([3]))
+        assert work.new_key_created.tolist() == [1.0]
+        assert work.key_nodes_visited.tolist() == [1.0]
+        rids, _ = probe_one(table, key=5, bucket=3)
         assert rids == [42]
 
     def test_duplicate_key_extends_rid_list(self):
         table = HashTable(n_buckets=8, allocator=make_allocator("block"))
-        table.insert(5, 1, 3)
-        _, created = table.insert(5, 2, 3)
-        assert not created
-        rids, _ = table.probe_one(5, 3)
-        assert sorted(rids) == [1, 2]
+        work = table.bulk_insert(np.array([5, 5]), np.array([1, 2]), np.array([3, 3]))
+        assert work.new_key_created.tolist() == [1.0, 0.0]
+        rids, _ = probe_one(table, 5, 3)
+        assert rids == [1, 2]
 
     def test_colliding_keys_share_bucket_chain(self):
-        table = HashTable(n_buckets=4, allocator=make_allocator("block"))
-        table.insert(1, 10, 2)
-        table.insert(5, 11, 2)
-        table.insert(9, 12, 2)
-        assert table.chain_length(2) == 3
-        rids, visited = table.probe_one(9, 2)
+        table = build_table([9, 1, 5], rids=[12, 10, 11], n_buckets=4, buckets=[2, 2, 2])
+        assert table.bucket_key_count[2] == 3
+        # The key list is in key order: 1, 5, 9.
+        rids, visited = probe_one(table, 9, 2)
         assert rids == [12]
         assert visited == 3
 
     def test_probe_missing_key_returns_empty(self):
-        table = HashTable(n_buckets=4, allocator=make_allocator("block"))
-        table.insert(1, 10, 2)
-        rids, visited = table.probe_one(7, 2)
+        table = build_table([1], rids=[10], n_buckets=4, buckets=[2])
+        rids, visited = probe_one(table, 7, 2)
         assert rids == []
         assert visited == 1
 
     def test_out_of_range_bucket_rejected(self):
-        table = HashTable(n_buckets=4, allocator=make_allocator("block"))
-        with pytest.raises(HashTableError):
-            table.insert(1, 1, 9)
-        with pytest.raises(HashTableError):
-            table.probe_one(1, -1)
+        for bucket in (-1, 4, 9):
+            table = HashTable(n_buckets=4, allocator=make_allocator("block"))
+            with pytest.raises(HashTableError):
+                table.bulk_insert(np.array([1]), np.array([1]), np.array([bucket]))
 
     def test_validate_after_inserts(self):
-        table = HashTable(n_buckets=4, allocator=make_allocator("block"))
-        for i in range(50):
-            table.insert(i, i, i % 4)
+        keys = np.arange(50)
+        table = build_table(keys, n_buckets=4, buckets=keys % 4)
         table.validate()
         assert table.n_key_nodes == 50
         assert table.n_rid_nodes == 50
@@ -89,35 +91,16 @@ class TestBulkInsert:
         assert table.n_key_nodes == 3
         table.validate()
 
-    def test_matches_per_tuple_reference(self):
-        rng = np.random.default_rng(0)
-        keys = rng.integers(0, 200, size=500)
-        rids = np.arange(500)
-        buckets = bucket_of(keys, 32)
-
-        bulk = HashTable(n_buckets=32, allocator=make_allocator("block"))
-        bulk.bulk_insert(keys, rids, buckets)
-
-        reference = HashTable(n_buckets=32, allocator=make_allocator("block"))
-        for k, r, b in zip(keys.tolist(), rids.tolist(), buckets.tolist()):
-            reference.insert(k, r, b)
-
-        assert bulk.n_key_nodes == reference.n_key_nodes
-        assert bulk.n_rid_nodes == reference.n_rid_nodes
-        assert np.array_equal(bulk.bucket_tuple_count, reference.bucket_tuple_count)
-        assert np.array_equal(bulk.bucket_key_count, reference.bucket_key_count)
-        bulk.validate()
-        reference.validate()
-
-    def test_incremental_bulk_inserts(self):
+    def test_second_bulk_insert_is_rejected(self):
+        # Every join builds a table from one batch, so a table is built once.
         keys = np.arange(100)
         buckets = bucket_of(keys, 16)
         table = HashTable(n_buckets=16, allocator=make_allocator("block"))
         table.bulk_insert(keys[:50], keys[:50], buckets[:50])
-        table.bulk_insert(keys[50:], keys[50:], buckets[50:])
+        with pytest.raises(HashTableError):
+            table.bulk_insert(keys[50:], keys[50:], buckets[50:])
         table.validate()
-        assert table.n_rid_nodes == 100
-        assert table.n_key_nodes == 100
+        assert table.n_rid_nodes == 50
 
     def test_work_arrays_have_input_order(self):
         keys = np.array([7, 7, 9])
@@ -161,12 +144,18 @@ class TestBulkProbe:
     def test_miss_visits_the_whole_chain_on_both_paths(self):
         # A miss walks its bucket's chain to the end: 0 nodes in an empty
         # bucket, the chain length in an occupied one.
-        table = HashTable(n_buckets=4, allocator=make_allocator("block"))
-        table.insert(1, 10, 2)
-        assert table.probe_one(7, 0) == ([], 0)
-        assert table.probe_one(7, 2) == ([], 1)
-        _, work = table.bulk_probe(np.array([7, 7]), np.array([0, 1]), np.array([0, 2]))
-        assert work.key_nodes_visited.tolist() == [0.0, 1.0]
+        table = build_table([1, 3, 8], rids=[10, 11, 12], n_buckets=4, buckets=[2, 2, 2])
+        result, work = table.bulk_probe(np.array([7, 7]), np.array([0, 1]), np.array([0, 2]))
+        assert result.match_count == 0
+        assert work.key_nodes_visited.tolist() == [0.0, 3.0]
+
+    @pytest.mark.parametrize("bucket", [-1, 4])
+    def test_out_of_range_probe_bucket_rejected(self, bucket):
+        # Unchecked, -1 would read the last bucket's header and 4 would
+        # raise a bare IndexError.
+        table = build_table([1], rids=[10], n_buckets=4, buckets=[3])
+        with pytest.raises(HashTableError):
+            table.bulk_probe(np.array([1, 1]), np.array([0, 1]), np.array([3, bucket]))
 
     def test_probe_work_visited_at_least_for_hits(self):
         keys = np.arange(64)

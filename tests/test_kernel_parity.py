@@ -88,11 +88,10 @@ class TestVectorizedValidate:
         table = build_table(np.random.default_rng(0).integers(0, 50, 200), 16)
         table.validate()
 
-    def test_broken_next_pointer_raises(self):
-        table = build_table(np.arange(64), 4)  # long chains per bucket
-        node = int(table.bucket_head[0])
-        table.key_node_next[node] = node  # cycle / broken chain
-        with pytest.raises(HashTableError):
+    def test_keys_out_of_order_in_a_bucket_raise(self):
+        table = build_table(np.arange(64), 1)  # one chain holds every key
+        table.key_node_key[[0, 1]] = table.key_node_key[[1, 0]]
+        with pytest.raises(HashTableError, match="order"):
             table.validate()
 
     def test_wrong_bucket_key_count_raises(self):
@@ -102,11 +101,10 @@ class TestVectorizedValidate:
         with pytest.raises(HashTableError):
             table.validate()
 
-    def test_unreachable_head_raises(self):
-        table = build_table(np.arange(32), 8)
-        busy = int(np.argmax(table.bucket_key_count))
-        table.bucket_head[busy] = -1
-        with pytest.raises(HashTableError):
+    def test_offsets_that_skip_a_rid_raise(self):
+        table = build_table(np.repeat(np.arange(8), 3), 4)  # three rids per key
+        table.rid_offsets[0] = 1  # rid list 0 starts past the first rid
+        with pytest.raises(HashTableError, match="rid offsets"):
             table.validate()
 
 

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.hardware import WorkStats
+from repro.hashjoin import HashJoinConfig
 from repro.opencl import (
     AMD_WAVEFRONT_WIDTH,
     Arena,
@@ -118,14 +119,12 @@ class TestWavefrontDivergence:
 class TestAtomics:
     def test_latch_table_uniform_low_conflict(self):
         table = LatchTable(n_latches=1024)
-        for i in range(1024):
-            table.acquire_release(i)
+        table.acquisitions += 1  # one acquisition on every latch
         assert table.conflict_ratio(256) < 0.3
 
     def test_latch_table_hot_latch_high_conflict(self):
         table = LatchTable(n_latches=1024)
-        for _ in range(1024):
-            table.acquire_release(7)
+        table.acquisitions[7] += 1024  # every acquisition on one latch
         assert table.conflict_ratio(8192) > 0.9
 
     def test_contention_ratio_monotone_in_threads(self):
@@ -206,10 +205,20 @@ class TestAllocators:
         for _ in range(256):
             per_request.allocate(8, group_id=0)
         bulk = BlockAllocator(Arena(1 << 20), block_bytes=2048)
-        bulk.bulk_allocate(256, 8, n_groups=1)
+        bulk.bulk_allocate(256, 8)
         assert bulk.stats.requests == per_request.stats.requests
         assert bulk.stats.local_atomics == per_request.stats.local_atomics
         assert abs(bulk.stats.global_atomics - per_request.stats.global_atomics) <= 1
+
+    def test_block_size_must_be_a_power_of_two(self):
+        # Other sizes can make a uniform step's workload proxy non-dyadic.
+        for block_bytes in (0, -8, 3, 2049, 3000):
+            with pytest.raises(ValueError, match="power of two"):
+                BlockAllocator(Arena(1 << 20), block_bytes=block_bytes)
+        with pytest.raises(ValueError, match="power of two"):
+            HashJoinConfig(allocator_block_bytes=3000).make_allocator(1 << 20)
+        for block_bytes in (1, 8, 2048, 32768):
+            assert BlockAllocator(Arena(1 << 20), block_bytes).block_bytes == block_bytes
 
     def test_conflict_ratio_falls_with_block_size(self):
         small = make_allocator("block", block_bytes=8)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 
@@ -20,12 +21,18 @@ from repro.hashjoin import (
     PartitionedHashJoin,
     SimpleHashJoin,
     bucket_of,
+    default_bucket_count,
     murmur2,
     murmur2_scalar,
     reference_join,
     vectorized_reference_join,
 )
-from repro.hashjoin.hashtable import radix_digits
+from repro.hashjoin.hashtable import (
+    BUCKET_HEADER_BYTES,
+    KEY_NODE_BYTES,
+    RID_NODE_BYTES,
+    radix_digits,
+)
 from repro.hashjoin.steps import PerTupleWork
 from repro.opencl import (
     Arena,
@@ -193,6 +200,93 @@ class TestJoinOracle:
             assert result.match_count == expected_count, name
 
 
+def algorithm1_table(
+    build: Relation, build_buckets, probe: Relation, probe_buckets, n_buckets: int
+) -> dict:
+    """Algorithm 1 over dicts: what a chained table reports per tuple.
+
+    Each bucket's key list holds its distinct build keys in ascending order.
+    A build tuple visits the list up to its key and creates the key's node
+    when its (bucket, key) comes up first.  A probe hit visits as far and
+    returns the key's rids in build order; a miss visits the whole list.
+    """
+    rid_lists: dict[tuple[int, int], list[int]] = {}
+    for key, rid, bucket in zip(build.keys.tolist(), build.rids.tolist(), build_buckets.tolist()):
+        rid_lists.setdefault((bucket, key), []).append(rid)
+    key_lists: dict[int, list[int]] = {}
+    for bucket, key in sorted(rid_lists):
+        key_lists.setdefault(bucket, []).append(key)
+
+    build_visits, created, seen = [], [], set()
+    for key, bucket in zip(build.keys.tolist(), build_buckets.tolist()):
+        build_visits.append(key_lists[bucket].index(key) + 1)
+        created.append(int((bucket, key) not in seen))
+        seen.add((bucket, key))
+
+    probe_visits, matches, build_out, probe_out = [], [], [], []
+    for key, rid, bucket in zip(probe.keys.tolist(), probe.rids.tolist(), probe_buckets.tolist()):
+        key_list = key_lists.get(bucket, [])
+        if key in key_list:
+            probe_visits.append(key_list.index(key) + 1)
+            hits = rid_lists[(bucket, key)]
+        else:
+            probe_visits.append(len(key_list))
+            hits = []
+        matches.append(len(hits))
+        build_out += hits
+        probe_out += [rid] * len(hits)
+
+    tuple_counts = collections.Counter(build_buckets.tolist())
+    return {
+        "build_visits": build_visits,
+        "created": created,
+        "probe_visits": probe_visits,
+        "matches": matches,
+        "build_out": build_out,
+        "probe_out": probe_out,
+        "bucket_tuple_count": [tuple_counts[b] for b in range(n_buckets)],
+        "bucket_key_count": [len(key_lists.get(b, [])) for b in range(n_buckets)],
+        "allocated_bytes": len(rid_lists) * KEY_NODE_BYTES + len(build) * RID_NODE_BYTES,
+    }
+
+
+class TestTableOracle:
+    """The hash table's per-tuple work and output against Algorithm 1."""
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(degenerate_key_pairs(), st.sampled_from((1, 4, 16, None)))
+    def test_table_matches_algorithm_1(self, key_pair, n_buckets):
+        build_keys, probe_keys = key_pair
+        # Reversed build rids, so build order is not rid order.
+        build = Relation(
+            keys=np.asarray(build_keys, dtype=np.int64),
+            rids=np.arange(len(build_keys), dtype=np.int64)[::-1].copy(),
+            name="R",
+        )
+        probe = relation_from(probe_keys, "S")
+        n_buckets = n_buckets or default_bucket_count(len(build))
+        build_buckets = bucket_of(build.keys, n_buckets)
+        probe_buckets = bucket_of(probe.keys, n_buckets)
+        expected = algorithm1_table(build, build_buckets, probe, probe_buckets, n_buckets)
+
+        table = HashTable(n_buckets=n_buckets, allocator=make_allocator("block"))
+        build_work = table.bulk_insert(build.keys, build.rids, build_buckets)
+        result, probe_work = table.bulk_probe(probe.keys, probe.rids, probe_buckets)
+        table.validate()
+
+        assert build_work.key_nodes_visited.tolist() == expected["build_visits"]
+        assert build_work.new_key_created.tolist() == expected["created"]
+        assert probe_work.key_nodes_visited.tolist() == expected["probe_visits"]
+        assert probe_work.matches.tolist() == expected["matches"]
+        assert result.build_rids.tolist() == expected["build_out"]
+        assert result.probe_rids.tolist() == expected["probe_out"]
+        assert table.bucket_tuple_count.tolist() == expected["bucket_tuple_count"]
+        assert table.latches.acquisitions.tolist() == expected["bucket_tuple_count"]
+        assert table.bucket_key_count.tolist() == expected["bucket_key_count"]
+        assert table.allocator.stats.allocated_bytes == expected["allocated_bytes"]
+        assert table.nbytes == n_buckets * BUCKET_HEADER_BYTES + expected["allocated_bytes"]
+
+
 #: int64 values that break an order-preserving digit split: the extremes,
 #: both sides of zero and of the 32-bit boundaries.
 INT64_EDGES = (-(2**63), 2**63 - 1, -(2**32), -1, 0, 1, 2**32 - 1, 2**32, 2**63 - 2**32)
@@ -315,7 +409,7 @@ class TestAllocatorProperties:
     @given(st.integers(min_value=1, max_value=500), st.sampled_from([8, 16, 64]))
     def test_bulk_allocate_accounting(self, n_requests, request_bytes):
         allocator = BlockAllocator(Arena(1 << 22), block_bytes=2048)
-        allocator.bulk_allocate(n_requests, request_bytes, n_groups=4)
+        allocator.bulk_allocate(n_requests, request_bytes)
         assert allocator.stats.requests == n_requests
         assert allocator.stats.allocated_bytes == n_requests * request_bytes
         assert allocator.stats.local_atomics == n_requests
