@@ -15,7 +15,7 @@ pairs across the CPU and the GPU.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,19 +24,18 @@ from ..hardware.cache import WorkingSet
 from ..opencl.allocator import MemoryAllocator
 from .hashtable import (
     HEADER_VISIT_INSTRUCTIONS,
-    KEY_NODE_BYTES,
     KEY_SEARCH_BASE_INSTRUCTIONS,
     KEY_SEARCH_PER_NODE_INSTRUCTIONS,
     MATCH_VISIT_BASE_INSTRUCTIONS,
     MATCH_VISIT_PER_MATCH_INSTRUCTIONS,
     RID_INSERT_INSTRUCTIONS,
     RID_NODE_BYTES,
-    HashTable,
 )
-from .murmur import MURMUR_INSTRUCTIONS_PER_KEY, bucket_of, bucket_of_hashed
-from .partition import PartitionConfig, PartitionedHashJoin, PHJRun, execute_partition_phase
+from .murmur import MURMUR_INSTRUCTIONS_PER_KEY
+from .parallel import run_pairs
+from .partition import PartitionConfig, pair_table, partition_pairs, plan_partitioning
 from .result import JoinResult
-from .simple import HashJoinConfig, arena_capacity_for
+from .simple import HashJoinConfig
 from .steps import PerTupleWork, StepDefinition, StepExecution, StepSeries
 
 #: The coarse-grained "join one partition pair" step.
@@ -65,10 +64,9 @@ class CoarsePHJRun:
 def join_pair_coarse(
     build_part: Relation,
     probe_part: Relation,
-    build_hashes: np.ndarray | None,
-    probe_hashes: np.ndarray | None,
+    build_hashes: np.ndarray,
+    probe_hashes: np.ndarray,
     config: HashJoinConfig,
-    reuse_hashes: bool,
     allocator: MemoryAllocator,
 ) -> tuple[tuple[float, float, float, float], JoinResult, int]:
     """Join one pair as a single coarse work item.
@@ -79,22 +77,10 @@ def join_pair_coarse(
     depends only on the pair and the allocator configuration, so serial and
     process-pool execution are bit-identical.
     """
-    table = HashTable(
-        n_buckets=config.bucket_count_for(max(len(build_part), 1)),
-        allocator=allocator,
-        shared_between_devices=False,
-    )
-    build_buckets = (
-        bucket_of_hashed(build_hashes, table.n_buckets)
-        if reuse_hashes and build_hashes is not None
-        else bucket_of(build_part.keys, table.n_buckets, seed=config.hash_seed)
+    table, build_buckets, probe_buckets = pair_table(
+        build_hashes, probe_hashes, config, allocator
     )
     build_work = table.bulk_insert(build_part.keys, build_part.rids, build_buckets)
-    probe_buckets = (
-        bucket_of_hashed(probe_hashes, table.n_buckets)
-        if reuse_hashes and probe_hashes is not None
-        else bucket_of(probe_part.keys, table.n_buckets, seed=config.hash_seed)
-    )
     result, probe_work = table.bulk_probe(probe_part.keys, probe_part.rids, probe_buckets)
 
     nb, npr = len(build_part), len(probe_part)
@@ -136,68 +122,29 @@ class CoarseGrainedPHJ:
         config: HashJoinConfig | None = None,
         partition_config: PartitionConfig | None = None,
         target_partition_tuples: int = 64_000,
-        use_kernels: bool = True,
         parallel: bool = False,
         n_workers: int | None = None,
     ) -> None:
         # Separate per-pair tables are inherent to this variant.
-        base = config or HashJoinConfig()
-        self.use_kernels = use_kernels
-        self.config = HashJoinConfig(
-            n_buckets=base.n_buckets,
-            allocator_kind=base.allocator_kind,
-            allocator_block_bytes=base.allocator_block_bytes,
-            shared_hash_table=False,
-            grouping=base.grouping,
-            hash_seed=base.hash_seed,
-        )
+        self.config = replace(config or HashJoinConfig(), shared_hash_table=False)
         self.partition_config = partition_config
         self.target_partition_tuples = target_partition_tuples
         self.parallel = parallel
         self.n_workers = n_workers
 
     def run(self, build: Relation, probe: Relation) -> CoarsePHJRun:
-        helper = PartitionedHashJoin(
-            config=self.config,
-            partition_config=self.partition_config,
-            target_partition_tuples=self.target_partition_tuples,
+        partition_config = self.partition_config or plan_partitioning(
+            len(build), self.target_partition_tuples
         )
-        partition_config = helper._partition_config_for(build)
-        arena_capacity = (
-            arena_capacity_for(len(build), len(probe)) + (len(build) + len(probe)) * 16
+        partition_phase, pairs, allocator = partition_pairs(
+            build, probe, partition_config, self.config
         )
-        allocator = self.config.make_allocator(arena_capacity)
-        partition_phase = execute_partition_phase(
-            build, probe, partition_config, self.config, allocator,
-            fused=self.use_kernels,
-        )
-        build_parts = partition_phase.build_partitions.partitions_with_hashes()
-        probe_parts = partition_phase.probe_partitions.partitions_with_hashes()
-        reuse_hashes = partition_config.hash_seed == self.config.hash_seed
-
-        pairs = [
-            (build_part, probe_part, build_hashes, probe_hashes)
-            for (build_part, build_hashes), (probe_part, probe_hashes) in zip(
-                build_parts, probe_parts
-            )
-            if len(build_part) or len(probe_part)
-        ]
-
         if self.parallel and len(pairs) > 1:
-            from .parallel import run_coarse_pairs
-
-            outcomes = run_coarse_pairs(
-                pairs, self.config, reuse_hashes, arena_capacity, allocator,
-                n_workers=self.n_workers,
+            outcomes = run_pairs(
+                join_pair_coarse, pairs, self.config, allocator, n_workers=self.n_workers
             )
         else:
-            outcomes = [
-                join_pair_coarse(
-                    build_part, probe_part, build_hashes, probe_hashes,
-                    self.config, reuse_hashes, allocator,
-                )
-                for build_part, probe_part, build_hashes, probe_hashes in pairs
-            ]
+            outcomes = [join_pair_coarse(*pair, self.config, allocator) for pair in pairs]
 
         per_pair_instructions: list[float] = []
         per_pair_random: list[float] = []

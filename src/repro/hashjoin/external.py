@@ -151,10 +151,8 @@ def _split_by_partition(
     relation: Relation, ids: np.ndarray, n_parts: int, label: str
 ) -> list[Relation]:
     """Split a relation into its super partitions (shared split kernel)."""
-    return [
-        part
-        for part, _ in split_relation_by_partition(relation, ids, n_parts, label)
-    ]
+    parts, _ = split_relation_by_partition(relation, ids, n_parts, label)
+    return parts
 
 
 def plan_super_partitions(

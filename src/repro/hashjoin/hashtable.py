@@ -18,9 +18,11 @@ its rid list in build order.
 
 The simulated work comes from that layout, as Algorithm 1 walks it.  In b3
 a build tuple visits its key list up to its key: the key node's rank in its
-bucket plus one; the first tuple of a group creates the node.  In p3 a probe
-that finds its key visits as many nodes; a miss visits the whole key list,
-which is none in an empty bucket.  p4 reads the key's rid list.
+bucket plus one; the first tuple of a group creates the node.  Each key has
+one bucket, so a build that gives one key two buckets is refused.  In p3 a
+probe that finds its key in its own bucket visits as many nodes; a miss
+visits the whole key list of its bucket, which is none in an empty bucket.
+p4 reads the key's rid list.
 
 Key and rid nodes are charged to one of the software memory allocators of
 :mod:`repro.opencl.allocator`, so the allocator's atomic behaviour (basic vs.
@@ -207,7 +209,9 @@ class HashTable:
     ) -> BuildWork:
         """Build the table from one batch; returns per-tuple work in input order.
 
-        Raises :class:`HashTableError` when the table is already built.
+        Raises :class:`HashTableError` when the table is already built, or
+        when one key arrives with two bucket numbers: Algorithm 1's b1 gives
+        each key one bucket.
         """
         keys = np.asarray(keys, dtype=np.int64)
         rids = np.asarray(rids, dtype=np.int64)
@@ -219,8 +223,8 @@ class HashTable:
             raise HashTableError("the table is already built; build a new one")
         if n and (buckets.min() < 0 or buckets.max() >= self.n_buckets):
             raise HashTableError("bucket numbers out of range")
-        self._built = True
         if n == 0:
+            self._built = True
             return BuildWork(
                 n_tuples=0,
                 key_nodes_visited=np.empty(0, dtype=np.float64),
@@ -235,21 +239,27 @@ class HashTable:
         boundary = np.ones(n, dtype=bool)
         boundary[1:] = (s_keys[1:] != s_keys[:-1]) | (s_buckets[1:] != s_buckets[:-1])
         group_starts = np.flatnonzero(boundary)
+        node_keys = s_keys[group_starts]
+        key_order = np.lexsort(radix_digits(node_keys))
+        sorted_keys = node_keys[key_order]
+        if np.any(sorted_keys[1:] == sorted_keys[:-1]):
+            raise HashTableError("a key arrived with two bucket numbers")
+        self._built = True
+        self._key_order = key_order
+        self._sorted_keys = sorted_keys
 
         # b2: one bucket-header visit (and latch) per tuple.
         self.bucket_tuple_count = np.bincount(buckets, minlength=self.n_buckets)
         self.latches.acquisitions += self.bucket_tuple_count
 
         # b3: one key node per group, ranked inside its bucket.
-        self.key_node_key = s_keys[group_starts]
+        self.key_node_key = node_keys
         self.key_node_bucket = s_buckets[group_starts]
         self.bucket_key_count = np.bincount(self.key_node_bucket, minlength=self.n_buckets)
         first_node = np.cumsum(self.bucket_key_count) - self.bucket_key_count
         n_nodes = group_starts.shape[0]
         self.key_node_chain_pos = np.arange(n_nodes) - first_node[self.key_node_bucket]
         self.allocator.bulk_allocate(n_nodes, KEY_NODE_BYTES)
-        self._key_order = np.lexsort(radix_digits(self.key_node_key))
-        self._sorted_keys = self.key_node_key[self._key_order]
 
         # b4: one rid node per tuple; each group's sorted rids are its list.
         self.rid_lists = rids[order]
@@ -277,21 +287,23 @@ class HashTable:
         """Key-node index per key (-1 when absent), fully vectorised.
 
         Binary-searches the queries against the sorted key view in key
-        order: each search then starts where the previous one ended, so the
-        table's keys are read in one ascending sweep instead of at random.
-        The positions are scattered back to the query order.
+        order: each search then starts where the previous one ended, and
+        the view and its node ids are read in one ascending sweep instead
+        of at random.  Only the node ids are scattered back to the query
+        order.
         """
         if self.n_key_nodes == 0:
             return np.full(keys.shape[0], -1, dtype=np.int64)
-        sorted_table_keys = self._sorted_keys
         query_order = np.lexsort(radix_digits(keys))
-        positions = np.empty(keys.shape[0], dtype=np.int64)
-        positions[query_order] = np.searchsorted(sorted_table_keys, keys[query_order])
-        positions_clipped = np.minimum(positions, self.n_key_nodes - 1)
-        found = (positions < self.n_key_nodes) & (
-            sorted_table_keys[positions_clipped] == keys
+        sorted_queries = keys[query_order]
+        # A query above every key clips to the last one, which differs.
+        positions = np.minimum(
+            np.searchsorted(self._sorted_keys, sorted_queries), self.n_key_nodes - 1
         )
-        return np.where(found, self._key_order[positions_clipped], -1)
+        found = self._sorted_keys[positions] == sorted_queries
+        nodes = np.empty(keys.shape[0], dtype=np.int64)
+        nodes[query_order] = np.where(found, self._key_order[positions], -1)
+        return nodes
 
     def bulk_probe(
         self,
@@ -315,11 +327,16 @@ class HashTable:
         if buckets.min() < 0 or buckets.max() >= self.n_buckets:
             raise HashTableError("bucket numbers out of range")
 
-        # p3: locate the probe key among the table's key nodes.  A hit visits
-        # the key list up to its node; a miss walks the whole list.
+        # p3: locate the probe key among the table's key nodes.  Only a key
+        # in the probe's own bucket is a hit, and it visits the key list up
+        # to its node; a miss, also of a key another bucket holds, walks the
+        # whole list.
         node = self._lookup_nodes(keys)
         found = node >= 0
         hit_nodes = node[found]
+        in_bucket = self.key_node_bucket[hit_nodes] == buckets[found]
+        found[found] = in_bucket
+        hit_nodes = hit_nodes[in_bucket]
         visited = self.bucket_key_count[buckets].astype(np.float64)
         visited[found] = self.key_node_chain_pos[hit_nodes] + 1.0
 

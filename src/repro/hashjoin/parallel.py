@@ -23,7 +23,7 @@ import os
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -32,16 +32,19 @@ from ..locking import make_lock
 from ..opencl.allocator import AllocatorStats, MemoryAllocator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
+    from .partition import PartitionPair
     from .simple import HashJoinConfig
 
 __all__ = [
     "PairPool",
     "ChunkOutcome",
-    "run_coarse_pairs",
-    "run_fine_pairs",
+    "run_pairs",
     "shared_pair_pool",
     "split_balanced",
 ]
+
+#: What one pair function returns for one partition pair.
+_Outcome = TypeVar("_Outcome")
 
 #: Default worker count: one per CPU, capped — pair joins are memory-bound
 #: NumPy kernels, so oversubscription only adds IPC.
@@ -225,19 +228,11 @@ class ChunkOutcome:
     arena_bumps: int = 0
 
 
-def _run_fine_chunk(payload: tuple[Any, ...]) -> ChunkOutcome:
-    """Join a chunk of pairs with the fine-grained SHJ steps (worker side)."""
-    from .partition import join_partition_pair
-
-    pairs, config, reuse_hashes, arena_capacity = payload
+def _run_chunk(payload: tuple[Any, ...]) -> ChunkOutcome:
+    """Join a chunk of pairs with the payload's pair function (worker side)."""
+    pair_fn, pairs, config, arena_capacity = payload
     allocator = config.make_allocator(arena_capacity)
-    outcomes = [
-        join_partition_pair(
-            build_part, probe_part, build_hashes, probe_hashes,
-            config, reuse_hashes, allocator,
-        )
-        for build_part, probe_part, build_hashes, probe_hashes in pairs
-    ]
+    outcomes = [pair_fn(*pair, config, allocator) for pair in pairs]
     return ChunkOutcome(
         pairs=outcomes,
         stats=allocator.stats,
@@ -246,83 +241,34 @@ def _run_fine_chunk(payload: tuple[Any, ...]) -> ChunkOutcome:
     )
 
 
-def _run_coarse_chunk(payload: tuple[Any, ...]) -> ChunkOutcome:
-    """Join a chunk of pairs as coarse per-pair work items (worker side)."""
-    from .coarse import join_pair_coarse
-
-    pairs, config, reuse_hashes, arena_capacity = payload
-    allocator = config.make_allocator(arena_capacity)
-    outcomes = [
-        join_pair_coarse(
-            build_part, probe_part, build_hashes, probe_hashes,
-            config, reuse_hashes, allocator,
-        )
-        for build_part, probe_part, build_hashes, probe_hashes in pairs
-    ]
-    return ChunkOutcome(
-        pairs=outcomes,
-        stats=allocator.stats,
-        arena_bytes=allocator.arena.used_bytes,
-        arena_bumps=allocator.arena.global_atomics,
-    )
-
-
-def _run_pairs(
-    worker: Callable[[tuple[Any, ...]], ChunkOutcome],
-    pairs: Sequence[tuple[Any, ...]],
+def run_pairs(
+    pair_fn: Callable[..., _Outcome],
+    pairs: Sequence["PartitionPair"],
     config: "HashJoinConfig",
-    reuse_hashes: bool,
-    arena_capacity: int,
     allocator: MemoryAllocator,
-    n_workers: int | None,
-) -> list[Any]:
+    n_workers: int | None = None,
+) -> list[_Outcome]:
+    """Join ``pairs`` on the shared pool, each with ``pair_fn``.
+
+    ``pair_fn(build part, probe part, build hashes, probe hashes, config,
+    allocator)`` is a module-level function, so it pickles by name.  Each
+    worker joins its chunk against a fresh allocator of ``config`` with
+    ``allocator``'s arena capacity.  Returns the per-pair outcomes in pair
+    order and folds the workers' allocator deltas into ``allocator`` (also
+    in pair order), so the caller observes exactly the serial loop's state.
+    """
     pool = shared_pair_pool(n_workers)
     weights = [
         float(len(build_part) + len(probe_part))
         for build_part, probe_part, _, _ in pairs
     ]
     chunks = split_balanced(pairs, pool.n_workers, weights)
-    payloads = [(chunk, config, reuse_hashes, arena_capacity) for chunk in chunks]
-    outcomes: list[Any] = []
-    for chunk_outcome in pool.map(worker, payloads):
+    capacity = allocator.arena.capacity_bytes
+    payloads = [(pair_fn, chunk, config, capacity) for chunk in chunks]
+    outcomes: list[_Outcome] = []
+    for chunk_outcome in pool.map(_run_chunk, payloads):
         outcomes.extend(chunk_outcome.pairs)
         allocator.absorb(
             chunk_outcome.stats, chunk_outcome.arena_bytes, chunk_outcome.arena_bumps
         )
     return outcomes
-
-
-def run_fine_pairs(
-    pairs: Sequence[tuple[Any, ...]],
-    config: "HashJoinConfig",
-    reuse_hashes: bool,
-    arena_capacity: int,
-    allocator: MemoryAllocator,
-    n_workers: int | None = None,
-) -> list[tuple[Any, ...]]:
-    """Join ``pairs`` on the shared pool with fine-grained SHJ steps.
-
-    Returns the per-pair ``(build series, probe series, result, table bytes)``
-    outcomes in pair order and folds the workers' allocator deltas into
-    ``allocator`` (also in pair order), so the caller observes exactly the
-    serial loop's state.
-    """
-    return _run_pairs(
-        _run_fine_chunk, pairs, config, reuse_hashes, arena_capacity, allocator,
-        n_workers,
-    )
-
-
-def run_coarse_pairs(
-    pairs: Sequence[tuple[Any, ...]],
-    config: "HashJoinConfig",
-    reuse_hashes: bool,
-    arena_capacity: int,
-    allocator: MemoryAllocator,
-    n_workers: int | None = None,
-) -> list[tuple[Any, ...]]:
-    """Join ``pairs`` on the shared pool as coarse per-pair work items."""
-    return _run_pairs(
-        _run_coarse_chunk, pairs, config, reuse_hashes, arena_capacity, allocator,
-        n_workers,
-    )

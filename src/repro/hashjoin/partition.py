@@ -20,13 +20,13 @@ from ..hardware.cache import WorkingSet
 from ..opencl.allocator import MemoryAllocator
 from .hashtable import BUCKET_HEADER_BYTES, HashTable, radix_digits
 from .murmur import (
-    DEFAULT_SEED,
     MURMUR_INSTRUCTIONS_PER_KEY,
     bucket_of_hashed,
     murmur2,
     radix_of,
     radix_span_of,
 )
+from .parallel import run_pairs
 from .result import JoinResult
 from .simple import HashJoinConfig, arena_capacity_for, execute_build, execute_probe
 from .steps import (
@@ -60,7 +60,6 @@ class PartitionConfig:
 
     bits_per_pass: int = 6
     n_passes: int = 1
-    hash_seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
         if self.bits_per_pass <= 0 or self.n_passes <= 0:
@@ -114,9 +113,9 @@ def plan_partitioning(
 class PartitionSet:
     """The output of radix partitioning one relation.
 
-    ``key_hashes`` optionally carries the murmur values the fused partition
-    kernel evaluated (one per tuple, partition seed), so downstream bucket
-    assignment can reuse them instead of re-hashing every partition pair.
+    ``key_hashes`` carries the murmur values the fused partition kernel
+    evaluated (one per tuple), from which each pair table takes its buckets;
+    the per-pass reference kernel carries none.
     """
 
     relation: Relation
@@ -128,27 +127,23 @@ class PartitionSet:
     def n_partitions(self) -> int:
         return self.config.n_partitions
 
-    def partition(self, pid: int) -> Relation:
-        mask = self.partition_ids == pid
-        return self.relation.take(np.flatnonzero(mask), name=f"{self.relation.name}[{pid}]")
-
     def partition_sizes(self) -> np.ndarray:
         return np.bincount(self.partition_ids, minlength=self.n_partitions).astype(
             np.int64
         )
 
-    def partitions(self) -> list[Relation]:
-        return [relation for relation, _ in self.partitions_with_hashes()]
-
-    def partitions_with_hashes(self) -> list[tuple[Relation, np.ndarray | None]]:
-        """(partition relation, carried hash slice or None) per partition."""
-        return split_relation_by_partition(
+    def partitions_with_hashes(self) -> list[tuple[Relation, np.ndarray]]:
+        """(partition relation, its slice of the carried hashes) per partition."""
+        if self.key_hashes is None:
+            raise PartitionError("the partition set carries no hashes")
+        parts, hashes = split_relation_by_partition(
             self.relation,
             self.partition_ids,
             self.n_partitions,
             self.relation.name,
             key_hashes=self.key_hashes,
         )
+        return list(zip(parts, hashes))
 
 
 def split_relation_by_partition(
@@ -157,7 +152,7 @@ def split_relation_by_partition(
     n_parts: int,
     label: str,
     key_hashes: np.ndarray | None = None,
-) -> list[tuple[Relation, np.ndarray | None]]:
+) -> tuple[list[Relation], list[np.ndarray]]:
     """Carve a relation into its partitions with one stable radix sort.
 
     Equivalent to ``relation.take(np.flatnonzero(ids == pid))`` per pid —
@@ -166,8 +161,8 @@ def split_relation_by_partition(
     uint16 digits (:func:`~repro.hashjoin.hashtable.radix_digits`), which
     numpy radix-sorts in linear time.  The single split kernel
     behind :meth:`PartitionSet.partitions_with_hashes` and the external
-    join's super-partition staging; ``key_hashes``, when carried, is sliced
-    alongside.
+    join's super-partition staging.  Returns the parts and, when
+    ``key_hashes`` is given, its slice per part (else no slices).
     """
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= n_parts):
@@ -179,14 +174,12 @@ def split_relation_by_partition(
     sizes = np.bincount(ids, minlength=n_parts)
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     sorted_rel = relation.take(order)
-    sorted_hashes = key_hashes[order] if key_hashes is not None else None
-    out: list[tuple[Relation, np.ndarray | None]] = []
-    for pid in range(n_parts):
-        start, stop = int(offsets[pid]), int(offsets[pid + 1])
-        part = sorted_rel.slice(start, stop, name=f"{label}[{pid}]")
-        hashes = sorted_hashes[start:stop] if sorted_hashes is not None else None
-        out.append((part, hashes))
-    return out
+    parts = [
+        sorted_rel.slice(int(offsets[pid]), int(offsets[pid + 1]), name=f"{label}[{pid}]")
+        for pid in range(n_parts)
+    ]
+    hashes = [] if key_hashes is None else np.split(key_hashes[order], offsets[1:-1])
+    return parts, hashes
 
 
 @dataclass
@@ -196,6 +189,10 @@ class PartitionPhaseOutcome:
     series_per_pass: list[StepSeries]
     build_partitions: PartitionSet
     probe_partitions: PartitionSet
+
+
+#: One partition pair: (build part, probe part, build hashes, probe hashes).
+PartitionPair = tuple[Relation, Relation, np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -229,35 +226,12 @@ def final_partition_ids(
     and shift/OR per pass) as the bit-matched reference.
     """
     if fused:
-        return radix_span_of(keys, config.total_bits, seed=config.hash_seed)
+        return radix_span_of(keys, config.total_bits)
     ids = np.zeros(np.asarray(keys).shape[0], dtype=np.int64)
     for pass_index in range(config.n_passes):
-        digits = radix_of(keys, config.bits_per_pass, pass_index, seed=config.hash_seed)
+        digits = radix_of(keys, config.bits_per_pass, pass_index)
         ids |= digits << (config.bits_per_pass * pass_index)
     return ids
-
-
-def execute_partition_pass(
-    keys: np.ndarray,
-    pass_index: int,
-    config: PartitionConfig,
-    allocator: MemoryAllocator,
-    n_live_partitions: int,
-    shared_between_devices: bool = True,
-) -> StepSeries:
-    """Execute one radix-partitioning pass over ``keys`` (steps n1-n3).
-
-    ``n_live_partitions`` is the number of partitions existing after this
-    pass, which determines the size of the partition-header working set.
-    """
-    return _partition_pass_series(
-        np.asarray(keys).shape[0],
-        pass_index,
-        config,
-        allocator,
-        n_live_partitions,
-        shared_between_devices,
-    )
 
 
 def _partition_pass_series(
@@ -268,9 +242,13 @@ def _partition_pass_series(
     n_live_partitions: int,
     shared_between_devices: bool = True,
 ) -> StepSeries:
-    """One pass's step series from the tuple count alone (the per-tuple work
-    of the partition steps is uniform, so the keys are only needed once for
-    the fused partition-id kernel, not per pass)."""
+    """One radix-partitioning pass over ``n`` tuples (steps n1-n3).
+
+    ``n_live_partitions`` is the number of partitions existing after this
+    pass, which determines the size of the partition-header working set.
+    The per-tuple work of the partition steps is uniform, so the series
+    needs only the tuple count, not the keys.
+    """
     # n1: compute the partition number (hash + bit extraction).
     n1 = StepExecution(
         step=PARTITION_STEPS[0],
@@ -339,24 +317,17 @@ def execute_partition_phase(
 
     The fused kernel hashes each relation once and derives every pass's
     radix digits from that single evaluation (the per-pass step series need
-    only the tuple count); ``fused=False`` keeps the per-pass loop over the
-    concatenated keys as the bit-matched reference.
+    only the tuple count); ``fused=False`` keeps the per-pass id loop as the
+    bit-matched reference, and carries no hashes.
     """
     series: list[StepSeries] = []
     n_combined = len(build) + len(probe)
-    combined_keys: np.ndarray | None = None
-    if not fused:
-        combined_keys = (
-            np.concatenate([build.keys, probe.keys])
-            if n_combined
-            else np.empty(0, dtype=np.int64)
-        )
     live = 1
     for pass_index in range(partition_config.n_passes):
         live *= partition_config.fanout_per_pass
         series.append(
             _partition_pass_series(
-                n_combined if fused else combined_keys.shape[0],
+                n_combined,
                 pass_index,
                 partition_config,
                 allocator,
@@ -367,11 +338,11 @@ def execute_partition_phase(
 
     if fused:
         # One hash evaluation per relation: the partition ids are its low
-        # bits, and the values are carried so per-pair bucket assignment
-        # can reuse them (b1/p1 consume the same murmur value).
+        # bits, and the values are carried so each pair table takes its
+        # buckets from them (b1/p1 consume the same murmur value).
         mask = np.uint64(partition_config.n_partitions - 1)
-        build_hashes = murmur2(build.keys, seed=partition_config.hash_seed)
-        probe_hashes = murmur2(probe.keys, seed=partition_config.hash_seed)
+        build_hashes = murmur2(build.keys)
+        probe_hashes = murmur2(probe.keys)
         build_ids = (build_hashes & mask).astype(np.int64)
         probe_ids = (probe_hashes & mask).astype(np.int64)
     else:
@@ -387,6 +358,33 @@ def execute_partition_phase(
             probe, probe_ids, partition_config, key_hashes=probe_hashes
         ),
     )
+
+
+def partition_pairs(
+    build: Relation,
+    probe: Relation,
+    partition_config: PartitionConfig,
+    config: HashJoinConfig,
+) -> tuple[PartitionPhaseOutcome, list[PartitionPair], MemoryAllocator]:
+    """Partition both relations into the pairs that PHJ and PHJ-PL' join.
+
+    Returns the partition phase, the pairs with at least one tuple in
+    partition order, and the allocator the partition phase drew from, which
+    the pair tables draw from next.
+    """
+    allocator = config.make_allocator(
+        arena_capacity_for(len(build), len(probe)) + (len(build) + len(probe)) * 16
+    )
+    phase = execute_partition_phase(build, probe, partition_config, config, allocator)
+    pairs = [
+        (build_part, probe_part, build_hashes, probe_hashes)
+        for (build_part, build_hashes), (probe_part, probe_hashes) in zip(
+            phase.build_partitions.partitions_with_hashes(),
+            phase.probe_partitions.partitions_with_hashes(),
+        )
+        if len(build_part) or len(probe_part)
+    ]
+    return phase, pairs, allocator
 
 
 # ---------------------------------------------------------------------------
@@ -465,13 +463,37 @@ def concat_step_series(
     return StepSeries(phase=phase, executions=merged)
 
 
+def pair_table(
+    build_hashes: np.ndarray,
+    probe_hashes: np.ndarray,
+    config: HashJoinConfig,
+    allocator: MemoryAllocator,
+) -> tuple[HashTable, np.ndarray, np.ndarray]:
+    """A partition pair's empty hash table and both sides' bucket numbers.
+
+    The table is sized for the pair's build side.  Both sides take their
+    buckets from the murmur values carried through partitioning (b1/p1
+    stand for that same hash evaluation), so equal keys meet in one bucket.
+    This is where every partition pair's buckets are chosen.
+    """
+    table = HashTable(
+        n_buckets=config.bucket_count_for(max(len(build_hashes), 1)),
+        allocator=allocator,
+        shared_between_devices=config.shared_hash_table,
+    )
+    return (
+        table,
+        bucket_of_hashed(build_hashes, table.n_buckets),
+        bucket_of_hashed(probe_hashes, table.n_buckets),
+    )
+
+
 def join_partition_pair(
     build_part: Relation,
     probe_part: Relation,
-    build_hashes: np.ndarray | None,
-    probe_hashes: np.ndarray | None,
+    build_hashes: np.ndarray,
+    probe_hashes: np.ndarray,
     config: HashJoinConfig,
-    reuse_hashes: bool,
     allocator: MemoryAllocator,
 ) -> tuple[StepSeries, StepSeries, JoinResult, int]:
     """Join one partition pair with the fine-grained SHJ steps.
@@ -482,20 +504,8 @@ def join_partition_pair(
     so the serial shared-allocator loop and the process-pool workers with
     private allocators produce bit-identical outcomes.
     """
-    table = HashTable(
-        n_buckets=config.bucket_count_for(max(len(build_part), 1)),
-        allocator=allocator,
-        shared_between_devices=config.shared_hash_table,
-    )
-    build_buckets = (
-        bucket_of_hashed(build_hashes, table.n_buckets)
-        if reuse_hashes and build_hashes is not None
-        else None
-    )
-    probe_buckets = (
-        bucket_of_hashed(probe_hashes, table.n_buckets)
-        if reuse_hashes and probe_hashes is not None
-        else None
+    table, build_buckets, probe_buckets = pair_table(
+        build_hashes, probe_hashes, config, allocator
     )
     build_outcome = execute_build(build_part, table, config, buckets=build_buckets)
     probe_outcome = execute_probe(probe_part, table, config, buckets=probe_buckets)
@@ -510,76 +520,37 @@ class PartitionedHashJoin:
         config: HashJoinConfig | None = None,
         partition_config: PartitionConfig | None = None,
         target_partition_tuples: int = 64_000,
-        use_kernels: bool = True,
         parallel: bool = False,
         n_workers: int | None = None,
     ) -> None:
-        """``use_kernels=False`` routes the partition phase through the
-        per-pass reference loop (``fused=False``); the results are
-        bit-identical either way.  ``parallel=True`` joins the independent
-        partition pairs on the shared process pool (``n_workers``
-        processes); ``parallel=False`` keeps the serial per-pair loop as the
-        bit-matched reference."""
+        """``parallel=True`` joins the independent partition pairs on the
+        shared process pool (``n_workers`` processes); ``parallel=False``
+        keeps the serial per-pair loop as the bit-matched reference."""
         self.config = config or HashJoinConfig()
         self.partition_config = partition_config
         self.target_partition_tuples = target_partition_tuples
-        self.use_kernels = use_kernels
         self.parallel = parallel
         self.n_workers = n_workers
 
-    def _partition_config_for(self, build: Relation) -> PartitionConfig:
-        if self.partition_config is not None:
-            return self.partition_config
-        return plan_partitioning(len(build), self.target_partition_tuples)
-
     def run(self, build: Relation, probe: Relation) -> PHJRun:
-        partition_config = self._partition_config_for(build)
-        arena_capacity = (
-            arena_capacity_for(len(build), len(probe)) + (len(build) + len(probe)) * 16
+        partition_config = self.partition_config or plan_partitioning(
+            len(build), self.target_partition_tuples
         )
-        allocator = self.config.make_allocator(arena_capacity)
-
-        partition_phase = execute_partition_phase(
-            build, probe, partition_config, self.config, allocator,
-            fused=self.use_kernels,
+        partition_phase, pairs, allocator = partition_pairs(
+            build, probe, partition_config, self.config
         )
-
-        build_parts = partition_phase.build_partitions.partitions_with_hashes()
-        probe_parts = partition_phase.probe_partitions.partitions_with_hashes()
-        # The carried partition-phase hashes equal the bucket hashes only
-        # when both consumers share the murmur seed.
-        reuse_hashes = partition_config.hash_seed == self.config.hash_seed
-
-        pairs = [
-            (build_part, probe_part, build_hashes, probe_hashes)
-            for (build_part, build_hashes), (probe_part, probe_hashes) in zip(
-                build_parts, probe_parts
-            )
-            if len(build_part) or len(probe_part)
-        ]
         if not pairs:
             # Both inputs are empty: one empty pair still yields build and
             # probe series that carry every step, at zero tuples.
-            (build_part, build_hashes), (probe_part, probe_hashes) = (
-                build_parts[0], probe_parts[0]
-            )
-            pairs = [(build_part, probe_part, build_hashes, probe_hashes)]
+            no_hashes = np.empty(0, dtype=np.uint64)
+            pairs = [(build, probe, no_hashes, no_hashes)]
 
         if self.parallel and len(pairs) > 1:
-            from .parallel import run_fine_pairs
-
-            outcomes = run_fine_pairs(
-                pairs, self.config, reuse_hashes, arena_capacity, allocator,
-                n_workers=self.n_workers,
+            outcomes = run_pairs(
+                join_partition_pair, pairs, self.config, allocator, n_workers=self.n_workers
             )
         else:
-            outcomes = [
-                join_partition_pair(
-                    build_part, probe_part, build_hashes, probe_hashes,
-                    self.config, reuse_hashes, allocator,
-                )
-                for build_part, probe_part, build_hashes, probe_hashes in pairs
-            ]
+            outcomes = [join_partition_pair(*pair, self.config, allocator) for pair in pairs]
 
         build_series_per_pair: list[StepSeries] = []
         probe_series_per_pair: list[StepSeries] = []

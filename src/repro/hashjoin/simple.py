@@ -31,7 +31,7 @@ from .hashtable import (
     HashTable,
     default_bucket_count,
 )
-from .murmur import DEFAULT_SEED, MURMUR_INSTRUCTIONS_PER_KEY, bucket_of
+from .murmur import MURMUR_INSTRUCTIONS_PER_KEY, bucket_of
 from .result import JoinResult
 from .steps import (
     BUILD_STEPS,
@@ -63,8 +63,6 @@ class HashJoinConfig:
     shared_hash_table: bool = True
     #: Workload-divergence grouping of the workload-dependent steps.
     grouping: bool = False
-    #: Seed of MurmurHash 2.0.
-    hash_seed: int = DEFAULT_SEED
 
     def make_allocator(self, capacity_bytes: int) -> MemoryAllocator:
         return make_allocator(
@@ -153,9 +151,9 @@ def execute_build(
 
     ``buckets`` optionally carries precomputed bucket numbers (the PHJ
     driver derives them from the hash values the partition phase already
-    evaluated); they must equal ``bucket_of(build.keys, table.n_buckets,
-    seed=config.hash_seed)``.  The charged b1 work is unchanged — the step
-    still stands for the hash computation wherever its value was produced.
+    evaluated); they must equal ``bucket_of(build.keys, table.n_buckets)``.
+    The charged b1 work is unchanged — the step still stands for the hash
+    computation wherever its value was produced.
     """
     config = config or HashJoinConfig()
     n = len(build)
@@ -164,7 +162,7 @@ def execute_build(
     # b1: compute hash bucket number for every tuple.
     if buckets is None:
         buckets = (
-            bucket_of(build.keys, table.n_buckets, seed=config.hash_seed)
+            bucket_of(build.keys, table.n_buckets)
             if n
             else np.empty(0, dtype=np.int64)
         )
@@ -266,7 +264,7 @@ def execute_probe(
 
     if buckets is None:
         buckets = (
-            bucket_of(probe.keys, table.n_buckets, seed=config.hash_seed)
+            bucket_of(probe.keys, table.n_buckets)
             if n
             else np.empty(0, dtype=np.int64)
         )

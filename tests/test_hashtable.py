@@ -113,6 +113,17 @@ class TestBulkInsert:
         # Exactly two distinct keys -> exactly two "new key" events.
         assert work.new_key_created.sum() == 2
 
+    def test_key_with_two_buckets_is_rejected(self):
+        # b1 gives each key one bucket.  Built as rid 10 in bucket 1 and rid
+        # 11 in bucket 3, key 5 would answer a probe of bucket 3 with rid 10.
+        table = HashTable(n_buckets=4, allocator=make_allocator("block"))
+        with pytest.raises(HashTableError, match="two bucket numbers"):
+            table.bulk_insert(np.array([5, 5]), np.array([10, 11]), np.array([1, 3]))
+        # The rejected batch left nothing behind: the table still builds.
+        assert table.allocator.stats.allocated_bytes == 0
+        table.bulk_insert(np.array([5, 5]), np.array([10, 11]), np.array([3, 3]))
+        assert probe_one(table, 5, 3) == ([10, 11], 1.0)
+
     def test_empty_insert(self):
         table = HashTable(n_buckets=4, allocator=make_allocator("block"))
         work = table.bulk_insert(np.array([]), np.array([]), np.array([]))
@@ -148,6 +159,16 @@ class TestBulkProbe:
         result, work = table.bulk_probe(np.array([7, 7]), np.array([0, 1]), np.array([0, 2]))
         assert result.match_count == 0
         assert work.key_nodes_visited.tolist() == [0.0, 3.0]
+
+    def test_key_of_another_bucket_is_a_miss(self):
+        # Algorithm 1 walks only the probe's own bucket: key 5 lives in
+        # bucket 3, so a probe of the empty bucket 0 visits no node.
+        table = build_table([1, 5], rids=[10, 11], n_buckets=4, buckets=[3, 3])
+        assert probe_one(table, 5, 0) == ([], 0.0)
+        # A miss in an occupied bucket walks its whole chain.
+        table = build_table([1, 5, 2], rids=[10, 11, 12], n_buckets=4, buckets=[3, 3, 1])
+        assert probe_one(table, 5, 1) == ([], 1.0)
+        assert probe_one(table, 5, 3) == ([11], 2.0)
 
     @pytest.mark.parametrize("bucket", [-1, 4])
     def test_out_of_range_probe_bucket_rejected(self, bucket):

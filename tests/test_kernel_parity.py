@@ -7,32 +7,33 @@ predecessor as a togglable reference path, and this suite pins the two at
 * ``final_partition_ids`` / ``execute_partition_phase`` — the fused
   single-hash kernel equals the per-pass loop for every (bits, passes)
   configuration, including allocator accounting.
+* ``partition_pairs`` / ``pair_table`` — the buckets every pair table takes
+  from the hashes carried through partitioning equal the buckets ``bucket_of``
+  computes from the pair's keys.
 * ``concat_step_series`` — the scalar-collapse rules: all-NaN scalars
   collapse instead of silently broadcasting (regression).
-* Whole joins — ``PartitionedHashJoin``/``CoarseGrainedPHJ`` runs with
-  ``use_kernels=False`` return bit-identical results, step series and work
-  totals.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.data.relation import Relation
 from repro.data.workload import JoinWorkload
 from repro.hashjoin import (
-    CoarseGrainedPHJ,
     HashJoinConfig,
     HashTable,
     PartitionConfig,
-    PartitionedHashJoin,
+    PartitionError,
     bucket_of,
     concat_step_series,
     execute_partition_phase,
     final_partition_ids,
+    pair_table,
+    partition_pairs,
 )
 from repro.hashjoin.hashtable import HashTableError
 from repro.hashjoin.steps import PerTupleWork, StepExecution, StepSeries, step_by_name
@@ -175,6 +176,50 @@ class TestPartitionParity:
             assert outcome.series_per_pass[0].n_tuples == 0
             assert outcome.build_partitions.partition_ids.size == 0
 
+    def test_reference_phase_carries_no_hashes_to_split(self):
+        # Pair tables take their buckets from carried hashes; the per-pass
+        # reference carries none, so splitting its sets must not yield pairs.
+        workload = JoinWorkload.uniform(100, 100, seed=2)
+        join_config = HashJoinConfig()
+        outcome = execute_partition_phase(
+            workload.build, workload.probe, PartitionConfig(bits_per_pass=2),
+            join_config, join_config.make_allocator(1 << 20), fused=False,
+        )
+        with pytest.raises(PartitionError, match="no hashes"):
+            outcome.build_partitions.partitions_with_hashes()
+
+    @SETTINGS
+    @given(
+        n_build=st.sampled_from((0, 1)) | st.integers(2, 300),
+        n_probe=st.sampled_from((0, 1)) | st.integers(2, 300),
+        bits=st.integers(1, 8),
+        passes=st.integers(1, 3),
+        n_buckets=st.sampled_from((1, 16, None)),
+        seed=st.integers(0, 10_000),
+    )
+    def test_pair_tables_take_the_key_buckets_from_carried_hashes(
+        self, n_build, n_probe, bits, passes, n_buckets, seed
+    ):
+        # Splitting into 2**bits**passes partitions is a Python loop, so
+        # keep the fan-out at most 4096.
+        assume(bits * passes <= 12)
+        rng = np.random.default_rng(seed)
+        key_space = int(rng.integers(1, 2**40))
+        build = Relation.from_keys(rng.integers(0, key_space, n_build, dtype=np.int64))
+        probe = Relation.from_keys(rng.integers(0, key_space, n_probe, dtype=np.int64))
+        config = HashJoinConfig(n_buckets=n_buckets)
+        partition_config = PartitionConfig(bits_per_pass=bits, n_passes=passes)
+
+        _, pairs, allocator = partition_pairs(build, probe, partition_config, config)
+        assert sum(len(build_part) for build_part, *_ in pairs) == n_build
+        assert sum(len(probe_part) for _, probe_part, *_ in pairs) == n_probe
+        for build_part, probe_part, build_hashes, probe_hashes in pairs:
+            table, build_buckets, probe_buckets = pair_table(
+                build_hashes, probe_hashes, config, allocator
+            )
+            assert np.array_equal(build_buckets, bucket_of(build_part.keys, table.n_buckets))
+            assert np.array_equal(probe_buckets, bucket_of(probe_part.keys, table.n_buckets))
+
     def test_partition_sizes_bincount(self):
         workload = JoinWorkload.uniform(1_000, 1_000, seed=3)
         config = PartitionConfig(bits_per_pass=4, n_passes=1)
@@ -245,43 +290,3 @@ class TestConcatCollapse:
         value = merged[0].work.instructions
         assert isinstance(value, np.ndarray)
         assert np.all(np.isnan(value[:4])) and np.all(value[4:] == 2.0)
-
-
-# ---------------------------------------------------------------------------
-# Whole joins with kernels on/off
-# ---------------------------------------------------------------------------
-class TestJoinParity:
-    @pytest.mark.parametrize(
-        "partition_config",
-        [PartitionConfig(bits_per_pass=4, n_passes=1),
-         PartitionConfig(bits_per_pass=3, n_passes=2)],
-    )
-    def test_phj_run_bit_identical(self, partition_config):
-        workload = JoinWorkload.skewed("high-skew", 4_000, 6_000, seed=5)
-        runs = {}
-        for use_kernels in (True, False):
-            runs[use_kernels] = PartitionedHashJoin(
-                partition_config=partition_config, use_kernels=use_kernels
-            ).run(workload.build, workload.probe)
-        vec, ref = runs[True], runs[False]
-        assert np.array_equal(vec.result.build_rids, ref.result.build_rids)
-        assert np.array_equal(vec.result.probe_rids, ref.result.probe_rids)
-        assert vec.max_pair_table_bytes == ref.max_pair_table_bytes
-        for series_vec, series_ref in zip(vec.step_series, ref.step_series):
-            assert_series_equal(series_vec, series_ref)
-
-    def test_coarse_phj_bit_identical(self):
-        workload = JoinWorkload.uniform(3_000, 3_000, seed=13)
-        runs = {
-            use_kernels: CoarseGrainedPHJ(
-                partition_config=PartitionConfig(bits_per_pass=4, n_passes=1),
-                use_kernels=use_kernels,
-            ).run(workload.build, workload.probe)
-            for use_kernels in (True, False)
-        }
-        vec, ref = runs[True], runs[False]
-        assert np.array_equal(vec.result.build_rids, ref.result.build_rids)
-        assert np.array_equal(vec.result.probe_rids, ref.result.probe_rids)
-        assert vec.total_table_bytes == ref.total_table_bytes
-        assert_series_equal(vec.pair_series, ref.pair_series)
-

@@ -36,16 +36,16 @@ from repro.hashjoin import (
     arena_capacity_for,
     join_pair_coarse,
     join_partition_pair,
+    murmur2,
     vectorized_reference_join,
 )
 from repro.hashjoin.parallel import (
     MAX_DEFAULT_WORKERS,
     ChunkOutcome,
     PairPool,
-    _run_coarse_chunk,
-    _run_fine_chunk,
+    _run_chunk,
     default_worker_count,
-    run_fine_pairs,
+    run_pairs,
     shared_pair_pool,
     split_balanced,
 )
@@ -216,7 +216,7 @@ def make_pairs(seed: int, n_pairs: int, tuples_per_side: int):
         probe = Relation.from_keys(
             rng.integers(0, 500, tuples_per_side, dtype=np.int64), name="S"
         )
-        pairs.append((build, probe, None, None))
+        pairs.append((build, probe, murmur2(build.keys), murmur2(probe.keys)))
     return pairs
 
 
@@ -227,13 +227,13 @@ class TestChunkWorkers:
         config = HashJoinConfig()
         pairs = make_pairs(5, 3, 400)
         capacity = arena_capacity_for(1200, 1200) + 2400 * 16
-        outcome = _run_fine_chunk((pairs, config, False, capacity))
+        outcome = _run_chunk((join_partition_pair, pairs, config, capacity))
         assert isinstance(outcome, ChunkOutcome)
         assert len(outcome.pairs) == 3
 
         allocator = config.make_allocator(capacity)
         expected = [
-            join_partition_pair(b, p, bh, ph, config, False, allocator)
+            join_partition_pair(b, p, bh, ph, config, allocator)
             for b, p, bh, ph in pairs
         ]
         for (got_b, got_p, got_r, got_bytes), (exp_b, exp_p, exp_r, exp_bytes) in zip(
@@ -249,10 +249,10 @@ class TestChunkWorkers:
         config = HashJoinConfig(shared_hash_table=False)
         pairs = make_pairs(6, 3, 400)
         capacity = arena_capacity_for(1200, 1200) + 2400 * 16
-        outcome = _run_coarse_chunk((pairs, config, False, capacity))
+        outcome = _run_chunk((join_pair_coarse, pairs, config, capacity))
         allocator = config.make_allocator(capacity)
         expected = [
-            join_pair_coarse(b, p, bh, ph, config, False, allocator)
+            join_pair_coarse(b, p, bh, ph, config, allocator)
             for b, p, bh, ph in pairs
         ]
         for (got_scalars, got_r, got_bytes), (exp_scalars, exp_r, exp_bytes) in zip(
@@ -263,19 +263,19 @@ class TestChunkWorkers:
             assert got_bytes == exp_bytes
         assert outcome.stats == allocator.stats
 
-    def test_run_fine_pairs_absorbs_allocator_deltas_in_pair_order(self):
+    def test_run_pairs_absorbs_allocator_deltas_in_pair_order(self):
         config = HashJoinConfig()
         pairs = make_pairs(7, 5, 300)
         capacity = arena_capacity_for(1500, 1500) + 3000 * 16
 
         serial_allocator = config.make_allocator(capacity)
         expected = [
-            join_partition_pair(b, p, bh, ph, config, False, serial_allocator)
+            join_partition_pair(b, p, bh, ph, config, serial_allocator)
             for b, p, bh, ph in pairs
         ]
         pooled_allocator = config.make_allocator(capacity)
-        outcomes = run_fine_pairs(
-            pairs, config, False, capacity, pooled_allocator, n_workers=2
+        outcomes = run_pairs(
+            join_partition_pair, pairs, config, pooled_allocator, n_workers=2
         )
         assert len(outcomes) == len(expected)
         for (_, _, got_r, got_bytes), (_, _, exp_r, exp_bytes) in zip(

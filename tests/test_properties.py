@@ -254,8 +254,12 @@ class TestTableOracle:
     """The hash table's per-tuple work and output against Algorithm 1."""
 
     @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(degenerate_key_pairs(), st.sampled_from((1, 4, 16, None)))
-    def test_table_matches_algorithm_1(self, key_pair, n_buckets):
+    @given(
+        degenerate_key_pairs(),
+        st.sampled_from((1, 4, 16, None)),
+        st.none() | st.integers(0, 2**32 - 1),
+    )
+    def test_table_matches_algorithm_1(self, key_pair, n_buckets, moved_probe_seed):
         build_keys, probe_keys = key_pair
         # Reversed build rids, so build order is not rid order.
         build = Relation(
@@ -267,6 +271,12 @@ class TestTableOracle:
         n_buckets = n_buckets or default_bucket_count(len(build))
         build_buckets = bucket_of(build.keys, n_buckets)
         probe_buckets = bucket_of(probe.keys, n_buckets)
+        if moved_probe_seed is not None:
+            # Move about half the probes to random buckets: a moved probe's
+            # key may live in another bucket, where Algorithm 1 never looks.
+            rng = np.random.default_rng(moved_probe_seed)
+            moved = rng.random(len(probe)) < 0.5
+            probe_buckets[moved] = rng.integers(0, n_buckets, int(moved.sum()))
         expected = algorithm1_table(build, build_buckets, probe, probe_buckets, n_buckets)
 
         table = HashTable(n_buckets=n_buckets, allocator=make_allocator("block"))
