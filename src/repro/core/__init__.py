@@ -1,7 +1,13 @@
 """Co-processing core: schemes, executor, join variants, scheduler, planner."""
 
 from .basicunit import BasicUnitPhase, BasicUnitRun, BasicUnitScheduler
-from .executor import CoProcessingExecutor, ExecutionError, PhaseTiming, StepTiming
+from .executor import (
+    CoProcessingExecutor,
+    ExecutionError,
+    GridTiming,
+    PhaseTiming,
+    StepTiming,
+)
 from .joins import (
     ALGORITHMS,
     PHJ,
@@ -30,6 +36,7 @@ __all__ = [
     "CANDIDATE_BLOCK_BYTES",
     "CoProcessingExecutor",
     "ExecutionError",
+    "GridTiming",
     "HashJoinVariant",
     "JoinPlan",
     "JoinPlanner",

@@ -12,15 +12,19 @@ choices.  The result plays the role of a wall-clock measurement on the APU.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
+
+import numpy as np
+from numpy.typing import ArrayLike
 
 from ..data.relation import TUPLE_BYTES
 from ..hardware.machine import CPU, GPU, Machine
 from ..hardware.pcie import PCIeBus
 from ..hardware.workstats import TimeBreakdown
 from ..hashjoin.steps import StepExecution, StepSeries
-from ..costmodel.abstract import pipeline_delays
+from ..costmodel.abstract import CostModelError, pipeline_delays
+from ..costmodel.batch import as_ratio_matrix, pipelined_totals
 
 
 class ExecutionError(ValueError):
@@ -89,6 +93,62 @@ class PhaseTiming:
             "merge_s": self.merge_s,
             "elapsed_s": self.elapsed_s,
         }
+
+
+@dataclass
+class GridTiming:
+    """Simulated timings of one step series under a matrix of ratio vectors.
+
+    ``elapsed_s`` holds one phase time per row; :meth:`row` materialises row
+    ``i`` as the :class:`PhaseTiming` that ``execute_series`` returns for
+    ``ratio_matrix[i]``.  Each step was timed once per distinct cut:
+    ``cpu_times[j]``/``gpu_times[j]`` hold those breakdowns and ``slot[i, j]``
+    picks row ``i``'s.
+    """
+
+    phase: str
+    step_names: list[str]
+    n_tuples: int
+    ratio_matrix: np.ndarray
+    cuts: np.ndarray
+    slot: np.ndarray
+    cpu_times: list[list[TimeBreakdown]]
+    gpu_times: list[list[TimeBreakdown]]
+    exchanged_bytes: np.ndarray
+    cpu_delay_s: np.ndarray
+    gpu_delay_s: np.ndarray
+    transfer_s: np.ndarray
+    elapsed_s: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.ratio_matrix.shape[0])
+
+    def row(self, i: int) -> PhaseTiming:
+        """Row ``i`` as the scalar path's :class:`PhaseTiming`."""
+        ratios = self.ratio_matrix[i].tolist()
+        steps = []
+        for j, name in enumerate(self.step_names):
+            cut = int(self.cuts[i, j])
+            k = int(self.slot[i, j])
+            steps.append(
+                StepTiming(
+                    name=name,
+                    ratio=ratios[j],
+                    cpu=replace(self.cpu_times[j][k]),
+                    gpu=replace(self.gpu_times[j][k]),
+                    cpu_tuples=cut,
+                    gpu_tuples=self.n_tuples - cut,
+                    exchanged_bytes=float(self.exchanged_bytes[i, j]),
+                )
+            )
+        return PhaseTiming(
+            phase=self.phase,
+            ratios=ratios,
+            steps=steps,
+            cpu_delay_s=self.cpu_delay_s[i].tolist(),
+            gpu_delay_s=self.gpu_delay_s[i].tolist(),
+            transfer_s=float(self.transfer_s[i]),
+        )
 
 
 def _validate_ratios(series: StepSeries, ratios: Sequence[float]) -> list[float]:
@@ -204,6 +264,137 @@ class CoProcessingExecutor:
             gpu_delay_s=gpu_delay,
             transfer_s=transfer_s,
         )
+
+    # ------------------------------------------------------------------
+    def execute_grid(
+        self,
+        series: StepSeries,
+        ratio_matrix: ArrayLike,
+        pipelined: bool = True,
+    ) -> GridTiming:
+        """Measure one phase under every row of an ``(m, n_steps)`` matrix.
+
+        The matrix is validated like ``execute_series``'s ratios (a single
+        vector counts as one row).  Row ``i`` of the result equals ``execute_series(series,
+        ratio_matrix[i], pipelined)``, and the machine's cache counters and
+        PCI-e records move exactly as that row-by-row loop moves them.  Each
+        step's cut points are computed for all rows at once and each
+        distinct cut is timed once on the scalar path (rows on the
+        optimiser's 0.02 grid share at most 51 cuts per step); the Eq. 4/5
+        delays and Eq. 1 then run over all rows together.
+        """
+        try:
+            R = as_ratio_matrix(ratio_matrix, series.n_steps)
+        except CostModelError as exc:
+            raise ExecutionError(f"phase {series.phase!r}: {exc}") from exc
+        m, n_steps = R.shape
+        n = series.n_tuples
+        wavefront_width = self.machine.spec.gpu.wavefront_width
+        cuts = np.empty((m, n_steps), dtype=np.int64)
+        slot = np.empty((m, n_steps), dtype=np.int64)
+        cpu_step = np.empty((m, n_steps), dtype=np.float64)
+        gpu_step = np.empty((m, n_steps), dtype=np.float64)
+        cpu_times: list[list[TimeBreakdown]] = []
+        gpu_times: list[list[TimeBreakdown]] = []
+        cpu_model = self.machine.device_model(CPU)
+        gpu_model = self.machine.device_model(GPU)
+        for j, execution in enumerate(series):
+            # np.rint rounds half to even, as round() does on the same product.
+            cuts[:, j] = np.rint(n * R[:, j])
+            distinct, inverse, repeats = np.unique(
+                cuts[:, j], return_inverse=True, return_counts=True
+            )
+            slot[:, j] = inverse
+            env = self.machine.memory_environment(execution.working_set)
+            cpu_times.append([])
+            gpu_times.append([])
+            for cut, count in zip(distinct.tolist(), repeats.tolist()):
+                cpu_stats = execution.stats_for_range(0, cut, CPU, wavefront_width=wavefront_width)
+                gpu_stats = execution.stats_for_range(cut, n, GPU, wavefront_width=wavefront_width)
+                # Each call rounds its counts to whole numbers, so ``count``
+                # rows sharing this cut add exactly ``count`` times as much.
+                for stats in (cpu_stats, gpu_stats):
+                    if stats.random_accesses:
+                        self.machine.cache.record_accesses(
+                            stats.random_accesses, env.miss_ratio, repeats=count
+                        )
+                cpu_times[j].append(cpu_model.elapsed(cpu_stats, env))
+                gpu_times[j].append(gpu_model.elapsed(gpu_stats, env))
+            cpu_step[:, j] = np.array([t.total_s for t in cpu_times[j]])[inverse]
+            gpu_step[:, j] = np.array([t.total_s for t in gpu_times[j]])[inverse]
+
+        exchanged = np.zeros((m, n_steps), dtype=np.float64)
+        change = R[:, 1:] - R[:, :-1]
+        if n_steps > 1:
+            bytes_per_tuple = np.array(
+                [e.intermediate_bytes_per_tuple for e in series.executions[1:]]
+            )
+            exchanged[:, 1:] = np.abs(change) * n * bytes_per_tuple
+        transfer_s = self._grid_transfers(series, change, cuts, exchanged)
+        cpu_delay, gpu_delay, cpu_total, gpu_total = pipelined_totals(
+            R, cpu_step, gpu_step, pipelined
+        )
+        return GridTiming(
+            phase=series.phase,
+            step_names=series.step_names,
+            n_tuples=n,
+            ratio_matrix=R,
+            cuts=cuts,
+            slot=slot,
+            cpu_times=cpu_times,
+            gpu_times=gpu_times,
+            exchanged_bytes=exchanged,
+            cpu_delay_s=cpu_delay,
+            gpu_delay_s=gpu_delay,
+            transfer_s=transfer_s,
+            elapsed_s=np.maximum(cpu_total, gpu_total) + transfer_s,
+        )
+
+    def _grid_transfers(
+        self,
+        series: StepSeries,
+        change: np.ndarray,
+        cuts: np.ndarray,
+        exchanged: np.ndarray,
+    ) -> np.ndarray:
+        """Each row's PCI-e seconds, recorded on the bus in the scalar order.
+
+        Row by row, as ``execute_series`` would be called: the intermediates
+        in step order, then the GPU share's input, then its output, each
+        row's seconds summed in that order.  Zero on the coupled machine.
+        """
+        transfer_s = np.zeros(cuts.shape[0], dtype=np.float64)
+        if self.machine.is_coupled:
+            return transfer_s
+        n = series.n_tuples
+        labels = [f"{series.phase}:{e.step.name}:intermediate" for e in series]
+        grows = (change > 0).tolist()
+        for i, (row_bytes, first_cut, last_cut) in enumerate(
+            zip(exchanged.tolist(), cuts[:, 0].tolist(), cuts[:, -1].tolist())
+        ):
+            total = 0.0
+            for j in range(1, len(labels)):
+                if row_bytes[j]:
+                    direction = (
+                        PCIeBus.DEVICE_TO_HOST if grows[i][j - 1] else PCIeBus.HOST_TO_DEVICE
+                    )
+                    total += self.machine.transfer_seconds(
+                        int(row_bytes[j]), direction, label=labels[j]
+                    )
+            if n - first_cut:
+                total += self.machine.transfer_seconds(
+                    (n - first_cut) * TUPLE_BYTES,
+                    PCIeBus.HOST_TO_DEVICE,
+                    label=f"{series.phase}:input",
+                )
+            if n - last_cut:
+                total += self.machine.transfer_seconds(
+                    (n - last_cut) * TUPLE_BYTES,
+                    PCIeBus.DEVICE_TO_HOST,
+                    label=f"{series.phase}:output",
+                )
+            transfer_s[i] = total
+        return transfer_s
 
     # ------------------------------------------------------------------
     def merge_cost(self, n_key_nodes: float, n_rid_nodes: float, table_bytes: float) -> float:

@@ -51,6 +51,7 @@ __all__ = [
     "batch_totals_mixed",
     "estimate_series_batch",
     "mixed_matrices",
+    "pipelined_totals",
     "reset_shared_estimate_cache",
     "shared_estimate_cache",
     "steps_fingerprint",
@@ -63,9 +64,10 @@ def as_ratio_matrix(
     """Validate and normalise candidate ratios to an ``(m, n_steps)`` matrix.
 
     A single ratio vector is promoted to a one-row matrix.  Raises
-    :class:`CostModelError` on shape mismatches or ratios outside [0, 1],
-    mirroring the scalar path's validation; ``validate=False`` skips the
-    range scan for hot paths whose matrices come from known-valid grids.
+    :class:`CostModelError` on shape mismatches or ratios outside [0, 1]
+    (NaN included), mirroring the scalar path's validation;
+    ``validate=False`` skips the range scan for hot paths whose matrices
+    come from known-valid grids.
     """
     matrix = np.asarray(ratio_matrix, dtype=np.float64)
     if matrix.ndim == 1:
@@ -80,7 +82,8 @@ def as_ratio_matrix(
         raise CostModelError(
             f"got {matrix.shape[1]} ratios per row for {n_steps} steps"
         )
-    if matrix.size and (matrix.min() < 0.0 or matrix.max() > 1.0):
+    # Written so that NaN fails both comparisons, like the scalar check.
+    if matrix.size and not (matrix.min() >= 0.0 and matrix.max() <= 1.0):
         raise CostModelError("ratios outside [0, 1] in ratio matrix")
     return matrix
 
@@ -354,6 +357,52 @@ def batch_totals_mixed(
     return _stacked_totals(R, cpu_coeff, gpu_coeff)
 
 
+def pipelined_totals(
+    R: np.ndarray,
+    cpu_step: np.ndarray,
+    gpu_step: np.ndarray,
+    pipelined: bool = True,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Eq. 4/5 delays and per-device totals for ``(m, n)`` step times.
+
+    Row ``i`` of ``cpu_step``/``gpu_step`` holds the per-step device seconds
+    under ratio vector ``R[i]`` (``n >= 1``).  Returns ``(cpu_delay,
+    gpu_delay, cpu_total, gpu_total)``: the ``(m, n)`` delay matrices of
+    :func:`~repro.costmodel.abstract.pipeline_delays` (all zero when
+    ``pipelined`` is off) and each device's step-time sum plus delay sum.
+    Every expression keeps the scalar code's operation order, and the
+    sequential cumulative sums reproduce its left-to-right sums, so each row
+    is bit-identical to the scalar evaluation.  The abstract model's batch
+    engine and the executor's ratio grid both finish here.
+    """
+    cpu_cum = np.cumsum(cpu_step, axis=1)
+    gpu_cum = np.cumsum(gpu_step, axis=1)
+    cpu_delay = np.zeros_like(R)
+    gpu_delay = np.zeros_like(R)
+    if pipelined and R.shape[1] > 1:
+        r_prev = R[:, :-1]
+        r_cur = R[:, 1:]
+        # The divisions are only meaningful inside their masks (where the
+        # denominators are strictly positive); the masked-out lanes may
+        # produce inf/nan and are discarded by np.where below.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # Eq. 4: the CPU waits for GPU output of step i-1.
+            not_pipelined = gpu_step[:, :-1] * (1.0 - r_cur) / (1.0 - r_prev)
+            cpu_wait = (gpu_cum[:, :-1] - not_pipelined) - cpu_cum[:, 1:]
+            # Eq. 5: the GPU waits for CPU output of step i-1.
+            pipelined_tail = gpu_step[:, 1:] * (1.0 - r_prev) / (1.0 - r_cur)
+            gpu_wait = cpu_cum[:, :-1] - (gpu_cum[:, 1:] - pipelined_tail)
+        cpu_delay[:, 1:] = np.where(
+            r_cur > r_prev, np.maximum(cpu_wait, 0.0), 0.0
+        )
+        gpu_delay[:, 1:] = np.where(
+            r_cur < r_prev, np.maximum(gpu_wait, 0.0), 0.0
+        )
+    cpu_total = cpu_cum[:, -1] + np.cumsum(cpu_delay, axis=1)[:, -1]
+    gpu_total = gpu_cum[:, -1] + np.cumsum(gpu_delay, axis=1)[:, -1]
+    return cpu_delay, gpu_delay, cpu_total, gpu_total
+
+
 def estimate_series_batch(
     steps: Sequence[StepCost], ratio_matrix: ArrayLike
 ) -> BatchEstimate:
@@ -389,40 +438,12 @@ def estimate_series_batch(
     # device_time() operation order exactly.
     cpu_step = cpu_coeff * R
     gpu_step = gpu_coeff * (1.0 - R)
+    cpu_delay, gpu_delay, cpu_total, gpu_total = pipelined_totals(R, cpu_step, gpu_step)
 
-    # Sequential cumulative sums reproduce the scalar code's left-to-right
-    # prefix sums bit for bit (np.cumsum accumulates in order).
-    cpu_cum = np.cumsum(cpu_step, axis=1)
-    gpu_cum = np.cumsum(gpu_step, axis=1)
-
-    cpu_delay = np.zeros_like(R)
-    gpu_delay = np.zeros_like(R)
     intermediate = np.zeros(m, dtype=np.float64)
     if n > 1:
-        r_prev = R[:, :-1]
-        r_cur = R[:, 1:]
-        # The divisions are only meaningful inside their masks (where the
-        # denominators are strictly positive); the masked-out lanes may
-        # produce inf/nan and are discarded by np.where below.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # Eq. 4: the CPU waits for GPU output of step i-1.
-            not_pipelined = gpu_step[:, :-1] * (1.0 - r_cur) / (1.0 - r_prev)
-            cpu_wait = (gpu_cum[:, :-1] - not_pipelined) - cpu_cum[:, 1:]
-            # Eq. 5: the GPU waits for CPU output of step i-1.
-            pipelined_tail = gpu_step[:, 1:] * (1.0 - r_prev) / (1.0 - r_cur)
-            gpu_wait = cpu_cum[:, :-1] - (gpu_cum[:, 1:] - pipelined_tail)
-        cpu_delay[:, 1:] = np.where(
-            r_cur > r_prev, np.maximum(cpu_wait, 0.0), 0.0
-        )
-        gpu_delay[:, 1:] = np.where(
-            r_cur < r_prev, np.maximum(gpu_wait, 0.0), 0.0
-        )
-
-        moved_tuples = np.abs(r_cur - r_prev) * n_tuples[1:]
+        moved_tuples = np.abs(R[:, 1:] - R[:, :-1]) * n_tuples[1:]
         intermediate = np.cumsum(moved_tuples * inter_bpt[1:], axis=1)[:, -1]
-
-    cpu_total = cpu_cum[:, -1] + np.cumsum(cpu_delay, axis=1)[:, -1]
-    gpu_total = gpu_cum[:, -1] + np.cumsum(gpu_delay, axis=1)[:, -1]
 
     return BatchEstimate(
         ratio_matrix=R,

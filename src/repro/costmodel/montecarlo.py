@@ -4,9 +4,10 @@ The paper validates its cost-model-driven ratio choice by running one
 thousand PL executions with randomly generated ratio settings and showing
 that (a) the cost model's pick lands very close to the best simulated run and
 (b) per-run prediction error stays below ~15% for most runs.  This module
-reproduces that experiment: it samples random ratio vectors, evaluates each
+reproduces that experiment: it samples random ratio vectors, evaluates them
 with both the cost model (estimated) and a caller-supplied measurement
-function (the co-processing executor), and summarises the outcome as a CDF.
+function (the co-processing executor's ratio grid), and summarises the
+outcome as a CDF.
 """
 
 from __future__ import annotations
@@ -15,12 +16,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .abstract import StepCost, estimate_series
 from .batch import EstimateCache, shared_estimate_cache
 
-#: Measurement callback: ratios -> measured (simulated) seconds.
-MeasureFn = Callable[[Sequence[float]], float]
+#: Measurement callback: an ``(m, n_steps)`` ratio matrix -> one measured
+#: (simulated) time in seconds per row.
+MeasureFn = Callable[[np.ndarray], ArrayLike]
 
 
 @dataclass
@@ -104,6 +107,8 @@ def sample_ratio_vectors(
     """Random ratio vectors quantised to the optimiser's delta grid."""
     if n_steps <= 0 or n_samples <= 0:
         raise ValueError("n_steps and n_samples must be positive")
+    if not 0.0 < delta <= 1.0:
+        raise ValueError(f"delta must be in (0, 1], got {delta}")
     rng = np.random.default_rng(seed)
     levels = int(round(1.0 / delta))
     draws = rng.integers(0, levels + 1, size=(n_samples, n_steps))
@@ -121,31 +126,40 @@ def run_monte_carlo(
 ) -> MonteCarloStudy:
     """Run the Figure 9 experiment.
 
-    ``measure`` maps a ratio vector to its measured (simulated) elapsed time;
-    ``chosen_ratios`` is the cost model's own pick, measured the same way.
-    All random ratio vectors are estimated in one vectorized batch, so the
-    model-side cost of the study is a single ``estimate_series_batch`` call.
-    The batch goes through ``cache`` when given — or, by default, through the
-    process-wide :func:`shared_estimate_cache`, so repeated studies over the
-    same calibrated steps reuse their rows.
+    ``measure`` maps an ``(n_samples + 1, n_steps)`` ratio matrix to one
+    measured (simulated) elapsed time per row, in one call: the rows are the
+    random samples, then ``chosen_ratios`` (the cost model's own pick) as
+    the last row.  All random ratio vectors are estimated in one vectorized
+    batch, so the model-side cost of the study is a single
+    ``estimate_series_batch`` call.  The batch goes through ``cache`` when
+    given — or, by default, through the process-wide
+    :func:`shared_estimate_cache`, so repeated studies over the same
+    calibrated steps reuse their rows.
     """
     vectors = sample_ratio_vectors(len(steps), n_samples, seed=seed, delta=delta)
     if cache is None:
         cache = shared_estimate_cache()
     estimated_totals = cache.totals(steps, vectors)
-    measured_times = [measure(ratios) for ratios in vectors]
+    chosen = list(chosen_ratios)
+    chosen_estimated_s = estimate_series(steps, chosen).total_s
+    matrix = np.array(vectors + [chosen], dtype=np.float64)
+    measured = np.asarray(measure(matrix), dtype=np.float64)
+    if measured.shape != (matrix.shape[0],):
+        raise ValueError(
+            f"measure returned shape {measured.shape} for {matrix.shape[0]} rows"
+        )
+    measured_times = measured.tolist()
     samples = [
         MonteCarloSample(
-            ratios=list(ratios), estimated_s=float(estimated), measured_s=measured
+            ratios=list(ratios), estimated_s=float(estimated), measured_s=measured_s
         )
-        for ratios, estimated, measured in zip(
+        for ratios, estimated, measured_s in zip(
             vectors, estimated_totals.tolist(), measured_times
         )
     ]
-    chosen = list(chosen_ratios)
     return MonteCarloStudy(
         samples=samples,
         chosen_ratios=chosen,
-        chosen_measured_s=measure(chosen),
-        chosen_estimated_s=estimate_series(steps, chosen).total_s,
+        chosen_measured_s=measured_times[-1],
+        chosen_estimated_s=chosen_estimated_s,
     )

@@ -48,13 +48,15 @@ def run_fig07(
     ratios = np.round(np.arange(0.0, 1.0 + 1e-9, ratio_step), 6)
     for phase_name, series in (("build", build_series), ("probe", probe_series)):
         steps = CalibrationTable.from_series([series], machine).step_costs()
-        # The whole DD sweep is one batched model evaluation (one row per ratio).
+        # The whole DD sweep is one batched model evaluation and one grid
+        # measurement (one row per ratio).
         matrix = np.repeat(ratios[:, np.newaxis], series.n_steps, axis=1)
         estimates = estimate_series_batch(steps, matrix).total_s
+        measurements = executor.execute_grid(series, matrix, pipelined=False).elapsed_s
         best_ratio, best_measured = None, float("inf")
-        for ratio, estimated in zip(ratios, estimates.tolist()):
-            vector = [float(ratio)] * series.n_steps
-            measured = executor.execute_series(series, vector, pipelined=False).elapsed_s
+        for ratio, estimated, measured in zip(
+            ratios, estimates.tolist(), measurements.tolist()
+        ):
             if measured < best_measured:
                 best_measured, best_ratio = measured, float(ratio)
             result.add_row(
@@ -99,13 +101,14 @@ def run_fig08(
     for phase_name, series in (("build", build_series), ("probe", probe_series)):
         steps = CalibrationTable.from_series([series], machine).step_costs()
         # Constrained-PL sweep: first step pinned to the GPU, one ratio for the
-        # rest — again a single batched evaluation.
+        # rest — again a single batched evaluation and grid measurement.
         matrix = np.repeat(ratios[:, np.newaxis], series.n_steps, axis=1)
         matrix[:, 0] = 0.0
         estimates = estimate_series_batch(steps, matrix).total_s
-        for ratio, estimated in zip(ratios, estimates.tolist()):
-            vector = [0.0] + [float(ratio)] * (series.n_steps - 1)
-            measured = executor.execute_series(series, vector, pipelined=True).elapsed_s
+        measurements = executor.execute_grid(series, matrix, pipelined=True).elapsed_s
+        for ratio, estimated, measured in zip(
+            ratios, estimates.tolist(), measurements.tolist()
+        ):
             result.add_row(
                 phase=phase_name,
                 cpu_ratio_pct=float(ratio) * 100.0,

@@ -9,6 +9,8 @@ phase of PHJ-PL, as in the paper.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..core.executor import CoProcessingExecutor
 from ..costmodel.batch import EstimateCache
 from ..costmodel.calibration import CalibrationTable
@@ -29,8 +31,8 @@ def _study_for_series(series, machine: Machine, n_samples: int, seed: int) -> Mo
     steps = CalibrationTable.from_series([series], machine).step_costs()
     executor = CoProcessingExecutor(machine)
 
-    def measure(ratios) -> float:
-        return executor.execute_series(series, list(ratios), pipelined=True).elapsed_s
+    def measure(matrix: np.ndarray) -> np.ndarray:
+        return executor.execute_grid(series, matrix).elapsed_s
 
     # One cache serves both the PL optimisation and the Monte Carlo batch, so
     # ratio vectors the optimiser already evaluated are not re-estimated.

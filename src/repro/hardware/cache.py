@@ -93,12 +93,17 @@ class CacheModel:
         capacity_miss = 1.0 - effective / working_set_bytes
         return min(1.0, max(self.spec.cold_miss_ratio, capacity_miss))
 
-    def record_accesses(self, accesses: float, miss_ratio: float) -> None:
-        """Accumulate access/miss counters (used for Table 3 style reporting)."""
+    def record_accesses(self, accesses: float, miss_ratio: float, repeats: int = 1) -> None:
+        """Accumulate access/miss counters (used for Table 3 style reporting).
+
+        The counts are rounded to whole numbers before they are added, so
+        ``repeats`` identical calls add exactly ``repeats`` times as much as
+        one; passing ``repeats`` adds that in one call.
+        """
         if accesses < 0 or not 0.0 <= miss_ratio <= 1.0:
             raise ValueError("invalid access count or miss ratio")
-        self.stats.accesses += int(round(accesses))
-        self.stats.misses += int(round(accesses * miss_ratio))
+        self.stats.accesses += repeats * int(round(accesses))
+        self.stats.misses += repeats * int(round(accesses * miss_ratio))
 
     def reset(self) -> None:
         self.stats = CacheStats()

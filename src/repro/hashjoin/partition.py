@@ -132,8 +132,11 @@ class PartitionSet:
             np.int64
         )
 
-    def partitions_with_hashes(self) -> list[tuple[Relation, np.ndarray]]:
-        """(partition relation, its slice of the carried hashes) per partition."""
+    def partitions_with_hashes(
+        self, pids: np.ndarray | None = None
+    ) -> list[tuple[Relation, np.ndarray]]:
+        """(partition relation, its slice of the carried hashes) for each
+        partition id in ``pids`` (ascending; every partition by default)."""
         if self.key_hashes is None:
             raise PartitionError("the partition set carries no hashes")
         parts, hashes = split_relation_by_partition(
@@ -142,6 +145,7 @@ class PartitionSet:
             self.n_partitions,
             self.relation.name,
             key_hashes=self.key_hashes,
+            pids=pids,
         )
         return list(zip(parts, hashes))
 
@@ -152,6 +156,7 @@ def split_relation_by_partition(
     n_parts: int,
     label: str,
     key_hashes: np.ndarray | None = None,
+    pids: np.ndarray | None = None,
 ) -> tuple[list[Relation], list[np.ndarray]]:
     """Carve a relation into its partitions with one stable radix sort.
 
@@ -161,8 +166,9 @@ def split_relation_by_partition(
     uint16 digits (:func:`~repro.hashjoin.hashtable.radix_digits`), which
     numpy radix-sorts in linear time.  The single split kernel
     behind :meth:`PartitionSet.partitions_with_hashes` and the external
-    join's super-partition staging.  Returns the parts and, when
-    ``key_hashes`` is given, its slice per part (else no slices).
+    join's super-partition staging.  Returns one part per id in ``pids``
+    (ascending; every partition when ``None``) and, when ``key_hashes`` is
+    given, its slice per part (else no slices).
     """
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= n_parts):
@@ -173,13 +179,16 @@ def split_relation_by_partition(
     order = np.lexsort(radix_digits(ids))
     sizes = np.bincount(ids, minlength=n_parts)
     offsets = np.concatenate(([0], np.cumsum(sizes)))
-    sorted_rel = relation.take(order)
-    parts = [
-        sorted_rel.slice(int(offsets[pid]), int(offsets[pid + 1]), name=f"{label}[{pid}]")
-        for pid in range(n_parts)
+    bounds = [
+        (pid, int(offsets[pid]), int(offsets[pid + 1]))
+        for pid in (range(n_parts) if pids is None else np.asarray(pids).tolist())
     ]
-    hashes = [] if key_hashes is None else np.split(key_hashes[order], offsets[1:-1])
-    return parts, hashes
+    sorted_rel = relation.take(order)
+    parts = [sorted_rel.slice(start, stop, name=f"{label}[{pid}]") for pid, start, stop in bounds]
+    if key_hashes is None:
+        return parts, []
+    sorted_hashes = key_hashes[order]
+    return parts, [sorted_hashes[start:stop] for _, start, stop in bounds]
 
 
 @dataclass
@@ -370,19 +379,22 @@ def partition_pairs(
 
     Returns the partition phase, the pairs with at least one tuple in
     partition order, and the allocator the partition phase drew from, which
-    the pair tables draw from next.
+    the pair tables draw from next.  Only those pairs' partitions are
+    sliced, so the cost follows the tuples, not the partition count.
     """
     allocator = config.make_allocator(
         arena_capacity_for(len(build), len(probe)) + (len(build) + len(probe)) * 16
     )
     phase = execute_partition_phase(build, probe, partition_config, config, allocator)
+    live = np.flatnonzero(
+        phase.build_partitions.partition_sizes() + phase.probe_partitions.partition_sizes()
+    )
     pairs = [
         (build_part, probe_part, build_hashes, probe_hashes)
         for (build_part, build_hashes), (probe_part, probe_hashes) in zip(
-            phase.build_partitions.partitions_with_hashes(),
-            phase.probe_partitions.partitions_with_hashes(),
+            phase.build_partitions.partitions_with_hashes(live),
+            phase.probe_partitions.partitions_with_hashes(live),
         )
-        if len(build_part) or len(probe_part)
     ]
     return phase, pairs, allocator
 

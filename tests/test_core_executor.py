@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import BasicUnitScheduler, CoProcessingExecutor, Scheme, plan_ratios
 from repro.core.executor import ExecutionError
 from repro.costmodel import CalibrationTable, sample_ratio_vectors
 from repro.hardware import coupled_machine, discrete_machine
-from repro.hashjoin import HashJoinConfig, SimpleHashJoin
+from repro.hashjoin import HashJoinConfig, PartitionedHashJoin, SimpleHashJoin
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +169,108 @@ class TestExecutor:
         breakdown = timing.breakdown()
         assert breakdown["phase"] == "build"
         assert breakdown["elapsed_s"] == pytest.approx(timing.elapsed_s)
+
+
+@pytest.fixture(scope="module")
+def grid_series():
+    """SHJ and PHJ build/probe series, uniform and high-skew, with and
+    without divergence grouping, plus an empty join's (zero tuples)."""
+    from repro.data import JoinWorkload
+    from repro.data.relation import Relation
+
+    workloads = (
+        JoinWorkload.uniform(2_000, 3_000, seed=8),
+        JoinWorkload.skewed("high-skew", 2_000, 3_000, seed=8),
+    )
+    empty = Relation.from_keys(np.empty(0, dtype=np.int64))
+    empty_run = SimpleHashJoin(HashJoinConfig()).run(empty, empty)
+    series = [empty_run.build.series, empty_run.probe.series]
+    for workload in workloads:
+        for grouping in (False, True):
+            config = HashJoinConfig(grouping=grouping)
+            shj = SimpleHashJoin(config).run(workload.build, workload.probe)
+            phj = PartitionedHashJoin(config=config).run(workload.build, workload.probe)
+            series += [shj.build.series, shj.probe.series, phj.build_series, phj.probe_series]
+    return series
+
+
+#: Ratios on the optimiser's 0.02 grid, anywhere in [0, 1], or at the ends.
+RATIOS = (
+    st.integers(0, 50).map(lambda k: k / 50)
+    | st.floats(0.0, 1.0)
+    | st.sampled_from((0.0, 1.0))
+)
+
+
+@st.composite
+def ratio_matrices(draw, n_steps: int) -> np.ndarray:
+    rows = draw(st.lists(st.lists(RATIOS, min_size=n_steps, max_size=n_steps), max_size=10))
+    if rows and draw(st.booleans()):
+        rows += rows[: draw(st.integers(1, len(rows)))]  # repeated rows
+    if draw(st.booleans()):
+        rows.append([draw(st.sampled_from((0.0, 1.0)))] * n_steps)
+    return np.array(rows, dtype=np.float64).reshape(len(rows), n_steps)
+
+
+class TestExecuteGrid:
+    """``execute_grid`` against the ``execute_series`` row loop."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), discrete=st.booleans(), pipelined=st.booleans())
+    def test_rows_counters_and_transfers_equal_the_row_loop(
+        self, grid_series, data, discrete, pipelined
+    ):
+        series = data.draw(st.sampled_from(grid_series))
+        matrix = data.draw(ratio_matrices(series.n_steps))
+        make_machine = discrete_machine if discrete else coupled_machine
+        grid_machine, loop_machine = make_machine(), make_machine()
+        grid = CoProcessingExecutor(grid_machine).execute_grid(series, matrix, pipelined)
+        loop = CoProcessingExecutor(loop_machine)
+        rows = [loop.execute_series(series, row, pipelined) for row in matrix.tolist()]
+
+        assert len(grid) == len(rows) == grid.elapsed_s.shape[0]
+        for i, timing in enumerate(rows):
+            assert grid.row(i) == timing
+            assert float(grid.elapsed_s[i]).hex() == timing.elapsed_s.hex()
+        assert grid_machine.cache.stats == loop_machine.cache.stats
+        if discrete:
+            assert grid_machine.bus.transfers == loop_machine.bus.transfers
+
+    def test_zero_rows_leave_the_machine_untouched(self, shj_series):
+        build, _ = shj_series
+        machine = discrete_machine()
+        grid = CoProcessingExecutor(machine).execute_grid(build, np.empty((0, build.n_steps)))
+        assert len(grid) == 0 and grid.elapsed_s.shape == (0,)
+        assert machine.cache.stats.accesses == 0 and machine.bus.transfers == []
+
+    def test_a_single_vector_is_one_row(self, shj_series):
+        build, _ = shj_series
+        executor = CoProcessingExecutor(coupled_machine())
+        ratios = [0.2, 0.7, 0.4, 0.9]
+        assert executor.execute_grid(build, ratios).row(0) == executor.execute_series(
+            build, ratios
+        )
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.full((2, 3), 0.5),
+            np.full((2, 5), 0.5),
+            [[0.5, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, 1.5]],
+            [[0.5, -0.1, 0.5, 0.5]],
+            [[0.5, math.nan, 0.5, 0.5]],
+        ],
+        ids=["narrow", "wide", "above-one", "negative", "nan"],
+    )
+    def test_rejects_what_execute_series_rejects(self, shj_series, bad):
+        build, _ = shj_series
+        machine = discrete_machine()
+        executor = CoProcessingExecutor(machine)
+        with pytest.raises(ExecutionError):
+            executor.execute_series(build, np.atleast_2d(bad)[-1].tolist())
+        with pytest.raises(ExecutionError):
+            executor.execute_grid(build, bad)
+        assert machine.cache.stats.accesses == 0 and machine.bus.transfers == []
 
 
 class TestSchemes:

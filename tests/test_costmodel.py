@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.costmodel import (
@@ -242,8 +243,8 @@ class TestMonteCarlo:
     def test_study_summary(self):
         steps = make_steps()
 
-        def measure(ratios):
-            return estimate_series(steps, list(ratios)).total_s * 1.05
+        def measure(matrix):
+            return [estimate_series(steps, row.tolist()).total_s * 1.05 for row in matrix]
 
         chosen = optimize_pl(steps, delta=0.1).ratios
         study = run_monte_carlo(steps, measure, chosen, n_samples=60, seed=3)
@@ -255,3 +256,30 @@ class TestMonteCarlo:
         cdf = study.cdf(n_points=10)
         assert cdf[0][1] <= cdf[-1][1]
         assert cdf[-1][1] == pytest.approx(1.0)
+
+    def test_measure_is_called_once_with_the_chosen_vector_last(self):
+        steps = make_steps()
+        chosen = [0.1, 0.3, 0.5, 0.7]
+        calls = []
+
+        def measure(matrix):
+            calls.append(matrix.copy())
+            return np.arange(matrix.shape[0], dtype=np.float64) + 1.0
+
+        study = run_monte_carlo(steps, measure, chosen, n_samples=25, seed=5)
+        assert len(calls) == 1
+        (matrix,) = calls
+        assert matrix.shape == (26, 4)
+        assert matrix[:-1].tolist() == sample_ratio_vectors(4, 25, seed=5)
+        assert matrix[-1].tolist() == chosen
+        assert [s.measured_s for s in study.samples] == list(range(1, 26))
+        assert study.chosen_measured_s == 26.0
+
+    def test_measure_must_return_one_time_per_row(self):
+        with pytest.raises(ValueError, match="shape"):
+            run_monte_carlo(make_steps(), lambda matrix: [1.0], [0.5] * 4, n_samples=5)
+
+    @pytest.mark.parametrize("delta", [2.0, 0.0, -0.1, float("nan")])
+    def test_sampling_rejects_a_delta_outside_the_unit_interval(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            sample_ratio_vectors(2, 3, delta=delta)

@@ -148,6 +148,18 @@ class TestBatchEquivalence:
         with pytest.raises(CostModelError):
             batch_totals(steps, [[1.5, 0.0]])
 
+    @pytest.mark.parametrize(
+        "evaluate",
+        [estimate_series_batch, batch_totals, lambda steps, m: EstimateCache().totals(steps, m)],
+        ids=["estimate_series_batch", "batch_totals", "EstimateCache.totals"],
+    )
+    def test_nan_ratio_is_rejected_like_the_scalar_path(self, evaluate):
+        steps = random_steps(np.random.default_rng(4), 2)
+        with pytest.raises(CostModelError):
+            estimate_series(steps, [math.nan, 0.5])
+        with pytest.raises(CostModelError):
+            evaluate(steps, [[math.nan, 0.5]])
+
 
 class TestRatioGrid:
     def test_grid_spacing_honours_delta(self):
@@ -486,10 +498,10 @@ class TestMonteCarloRegressions:
 
     def test_error_quantile_excludes_degenerate_samples(self):
         steps = [StepCost("s", 1_000, cpu_unit_s=1e-9, gpu_unit_s=1e-9)]
-        measured = iter([0.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+        measured = [0.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0]
 
-        def measure(ratios):
-            return next(measured)
+        def measure(matrix):
+            return measured[: len(matrix)]
 
         study = run_monte_carlo(steps, measure, [0.5], n_samples=9, seed=4)
         errors = [s.relative_error for s in study.samples]
@@ -501,12 +513,16 @@ class TestMonteCarloRegressions:
 
     def test_error_quantile_all_degenerate_is_nan(self):
         steps = [StepCost("s", 1_000, cpu_unit_s=1e-9, gpu_unit_s=1e-9)]
-        study = run_monte_carlo(steps, lambda r: 0.0, [0.5], n_samples=5, seed=4)
+        study = run_monte_carlo(
+            steps, lambda matrix: [0.0] * len(matrix), [0.5], n_samples=5, seed=4
+        )
         assert math.isnan(study.error_quantile(0.9))
 
     def test_batched_estimates_match_scalar(self):
         steps = random_steps(np.random.default_rng(20), 5)
-        study = run_monte_carlo(steps, lambda r: 1.0, [0.5] * 5, n_samples=50, seed=21)
+        study = run_monte_carlo(
+            steps, lambda matrix: [1.0] * len(matrix), [0.5] * 5, n_samples=50, seed=21
+        )
         for sample in study.samples:
             assert sample.estimated_s == pytest.approx(
                 estimate_series(steps, sample.ratios).total_s, abs=TOL, rel=TOL
@@ -515,9 +531,13 @@ class TestMonteCarloRegressions:
     def test_run_monte_carlo_accepts_cache(self):
         steps = random_steps(np.random.default_rng(22), 4)
         cache = EstimateCache()
-        first = run_monte_carlo(steps, lambda r: 1.0, [0.5] * 4, n_samples=20, seed=3, cache=cache)
+
+        def measure(matrix):
+            return [1.0] * len(matrix)
+
+        first = run_monte_carlo(steps, measure, [0.5] * 4, n_samples=20, seed=3, cache=cache)
         misses = cache.misses
-        second = run_monte_carlo(steps, lambda r: 1.0, [0.5] * 4, n_samples=20, seed=3, cache=cache)
+        second = run_monte_carlo(steps, measure, [0.5] * 4, n_samples=20, seed=3, cache=cache)
         assert cache.misses == misses  # every row reused on the second run
         assert [s.estimated_s for s in first.samples] == [
             s.estimated_s for s in second.samples

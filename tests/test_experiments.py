@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from repro.core.executor import CoProcessingExecutor
 from repro.experiments import (
     ExperimentResult,
     improvement,
@@ -132,6 +135,24 @@ class TestModelValidation:
 
         monkeypatch.setattr(PerTupleWork, "stats_for_range", on_fresh_copy)
         assert run_fig09(build_tuples=5_000, n_samples=100).rows == memoised
+
+    def test_fig09_rows_equal_a_per_row_execute_series_loop(self, monkeypatch):
+        """Measuring each Monte Carlo matrix on the ratio grid leaves every
+        fig09 row bit-identical to measuring it row by row."""
+        grid_rows = run_fig09(build_tuples=5_000, n_samples=100).rows
+        calls = []
+
+        def row_loop(self, series, ratio_matrix, pipelined=True):
+            calls.append(len(ratio_matrix))
+            elapsed = [
+                self.execute_series(series, row, pipelined).elapsed_s
+                for row in np.asarray(ratio_matrix).tolist()
+            ]
+            return SimpleNamespace(elapsed_s=np.array(elapsed))
+
+        monkeypatch.setattr(CoProcessingExecutor, "execute_grid", row_loop)
+        assert run_fig09(build_tuples=5_000, n_samples=100).rows == grid_rows
+        assert calls == [101, 101]
 
 
 class TestDesignTradeoffs:

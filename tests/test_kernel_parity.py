@@ -9,7 +9,8 @@ predecessor as a togglable reference path, and this suite pins the two at
   configuration, including allocator accounting.
 * ``partition_pairs`` / ``pair_table`` — the buckets every pair table takes
   from the hashes carried through partitioning equal the buckets ``bucket_of``
-  computes from the pair's keys.
+  computes from the pair's keys, and only partitions that hold a tuple are
+  sliced.
 * ``concat_step_series`` — the scalar-collapse rules: all-NaN scalars
   collapse instead of silently broadcasting (regression).
 """
@@ -28,6 +29,7 @@ from repro.hashjoin import (
     HashTable,
     PartitionConfig,
     PartitionError,
+    PartitionedHashJoin,
     bucket_of,
     concat_step_series,
     execute_partition_phase,
@@ -200,9 +202,7 @@ class TestPartitionParity:
     def test_pair_tables_take_the_key_buckets_from_carried_hashes(
         self, n_build, n_probe, bits, passes, n_buckets, seed
     ):
-        # Splitting into 2**bits**passes partitions is a Python loop, so
-        # keep the fan-out at most 4096.
-        assume(bits * passes <= 12)
+        assume(bits * passes <= 16)
         rng = np.random.default_rng(seed)
         key_space = int(rng.integers(1, 2**40))
         build = Relation.from_keys(rng.integers(0, key_space, n_build, dtype=np.int64))
@@ -219,6 +219,31 @@ class TestPartitionParity:
             )
             assert np.array_equal(build_buckets, bucket_of(build_part.keys, table.n_buckets))
             assert np.array_equal(probe_buckets, bucket_of(probe_part.keys, table.n_buckets))
+
+    def test_split_slices_only_the_partitions_that_hold_tuples(self, monkeypatch):
+        # A 16-bit plan over 1k tuples leaves most of its 65,536 partitions
+        # empty on both sides; slicing those made the join's cost follow the
+        # partition count instead of the tuples.
+        workload = JoinWorkload.uniform(1_000, 1_000, seed=1)
+        slices = []
+        original = Relation.slice
+
+        def counting_slice(self, *args, **kwargs):
+            slices.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Relation, "slice", counting_slice)
+        partition_config = PartitionConfig(bits_per_pass=8, n_passes=2)
+        _, pairs, _ = partition_pairs(
+            workload.build, workload.probe, partition_config, HashJoinConfig()
+        )
+        assert 0 < len(pairs) < partition_config.n_partitions
+        assert len(slices) <= 2 * len(pairs)
+        slices.clear()
+        PartitionedHashJoin(partition_config=partition_config).run(
+            workload.build, workload.probe
+        )
+        assert len(slices) <= 2 * len(pairs)
 
     def test_partition_sizes_bincount(self):
         workload = JoinWorkload.uniform(1_000, 1_000, seed=3)

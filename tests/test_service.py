@@ -398,8 +398,11 @@ class TestProcessWideCache:
 
         cache = reset_shared_estimate_cache()
         steps = list(random_steps(np.random.default_rng(15), 3))
-        run_monte_carlo(steps, lambda r: 1.0, [0.5] * 3, n_samples=10, seed=2)
+        def measure(matrix):
+            return [1.0] * len(matrix)
+
+        run_monte_carlo(steps, measure, [0.5] * 3, n_samples=10, seed=2)
         first_misses = cache.misses
         assert first_misses > 0
-        run_monte_carlo(steps, lambda r: 1.0, [0.5] * 3, n_samples=10, seed=2)
+        run_monte_carlo(steps, measure, [0.5] * 3, n_samples=10, seed=2)
         assert cache.misses == first_misses  # second study fully reused
