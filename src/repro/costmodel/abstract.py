@@ -14,6 +14,7 @@ co-processing schemes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -45,8 +46,15 @@ class StepCost:
     def __post_init__(self) -> None:
         if self.n_tuples < 0:
             raise CostModelError("n_tuples must be non-negative")
-        if self.cpu_unit_s < 0 or self.gpu_unit_s < 0:
-            raise CostModelError("unit costs must be non-negative")
+        # Written so that NaN fails the comparison too.
+        if not (
+            0.0 <= self.cpu_unit_s < math.inf and 0.0 <= self.gpu_unit_s < math.inf
+        ):
+            raise CostModelError("unit costs must be finite and non-negative")
+        if not 0.0 <= self.intermediate_bytes_per_tuple < math.inf:
+            raise CostModelError(
+                "intermediate_bytes_per_tuple must be finite and non-negative"
+            )
 
     def device_time(self, device: str, ratio: float) -> float:
         """Estimated time of this step's portion assigned to ``device``."""

@@ -15,15 +15,19 @@ of NumPy array operations:
 * intermediate-result volumes are the masked ``|r_i - r_{i-1}| * x_i``
   byte sums of Section 4.1.
 
-The scalar :func:`estimate_series` remains the reference implementation; the
-batch engine reproduces its floating-point operation order (sequential
-cumulative sums, identical expression shapes), so per-row totals agree with
-the scalar path to well below 1e-12 and the optimisers built on top return
-identical ratio choices.
+One vector kernel, :func:`pipelined_totals`, evaluates Eqs. 4/5 and the
+per-device sums for every caller: :func:`estimate_series_batch`,
+:func:`batch_totals_mixed` (and through it :func:`batch_totals`, the
+optimisers and :class:`EstimateCache`) and the executor's ratio grid.  The
+scalar :func:`estimate_series` remains the reference implementation; the
+kernel reproduces its floating-point operation order (sequential
+cumulative sums, identical expression shapes), so every row's totals,
+per-step times, delays and intermediate bytes equal the scalar path's bit
+for bit and the optimisers built on top return identical ratio choices.
 
 :class:`EstimateCache` memoises per-row totals and full scalar estimates,
-keyed on a fingerprint of the calibrated steps plus the quantised ratio
-vector, so the planner and the ``experiments/`` figures reuse identical
+keyed on a fingerprint of the calibrated steps plus the exact bytes of the
+ratio vector, so the planner and the ``experiments/`` figures reuse identical
 evaluations across schemes and figures instead of re-running the engine.
 """
 
@@ -31,7 +35,6 @@ from __future__ import annotations
 
 # repro: kernel
 import os
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -58,22 +61,17 @@ __all__ = [
 ]
 
 
-def as_ratio_matrix(
-    ratio_matrix: ArrayLike, n_steps: int, validate: bool = True
-) -> np.ndarray:
+def as_ratio_matrix(ratio_matrix: ArrayLike, n_steps: int) -> np.ndarray:
     """Validate and normalise candidate ratios to an ``(m, n_steps)`` matrix.
 
     A single ratio vector is promoted to a one-row matrix.  Raises
     :class:`CostModelError` on shape mismatches or ratios outside [0, 1]
-    (NaN included), mirroring the scalar path's validation;
-    ``validate=False`` skips the range scan for hot paths whose matrices
-    come from known-valid grids.
+    (NaN included), mirroring the scalar path's validation.  Every engine
+    entry runs it, so a bad matrix fails the same way on every path.
     """
     matrix = np.asarray(ratio_matrix, dtype=np.float64)
     if matrix.ndim == 1:
         matrix = matrix[np.newaxis, :]
-    if not validate:
-        return matrix
     if matrix.ndim != 2:
         raise CostModelError(
             f"ratio matrix must be 1- or 2-dimensional, got shape {matrix.shape}"
@@ -128,168 +126,35 @@ class BatchEstimate:
         )
 
 
-#: Memoised per-step coefficient arrays, keyed on the steps fingerprint.  The
-#: optimisers evaluate the same calibrated series thousands of times; rebuilding
-#: four small arrays per batch call is measurable at ~50-row batch sizes.
-_COEFFICIENT_CACHE: dict[
-    tuple, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-] = {}
-_COEFFICIENT_CACHE_MAX = 256
-
-
 def _step_coefficients(
     steps: Sequence[StepCost],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(cpu_unit*n_tuples, gpu_unit*n_tuples, n_tuples, intermediate_bpt)."""
-    key = steps_fingerprint(steps)
-    cached = _COEFFICIENT_CACHE.get(key)
-    if cached is not None:
-        return cached
     n_tuples = np.array([s.n_tuples for s in steps], dtype=np.float64)
     cpu_coeff = np.array([s.cpu_unit_s for s in steps], dtype=np.float64) * n_tuples
     gpu_coeff = np.array([s.gpu_unit_s for s in steps], dtype=np.float64) * n_tuples
     inter_bpt = np.array(
         [s.intermediate_bytes_per_tuple for s in steps], dtype=np.float64
     )
-    if len(_COEFFICIENT_CACHE) >= _COEFFICIENT_CACHE_MAX:
-        _COEFFICIENT_CACHE.clear()
-    coefficients = (cpu_coeff, gpu_coeff, n_tuples, inter_bpt)
-    _COEFFICIENT_CACHE[key] = coefficients
-    return coefficients
+    return cpu_coeff, gpu_coeff, n_tuples, inter_bpt
 
 
-class _TotalsWorkspace:
-    """Grow-only scratch buffers behind :func:`_stacked_totals`.
+#: One ``(steps, ratio_matrix)`` pair of a mixed batch: the matrix's rows are
+#: candidate ratio vectors for that step series.
+Segment = tuple[Sequence[StepCost], ArrayLike]
 
-    The inner kernel used to allocate ~15 temporaries per call; at 64-request
-    bursts the allocator traffic of those temporaries, not the call overhead,
-    dominates the bill.  Every intermediate now lands in a preallocated
-    ``out=`` buffer sliced from this workspace.  Buffers only ever grow (to
-    the largest ``(m, n)`` seen), so alternating batch shapes — the descent
-    rounds shrink every round — stop allocating after the first pass.
+
+def batch_totals(steps: Sequence[StepCost], ratio_matrix: ArrayLike) -> np.ndarray:
+    """Per-row ``total_s`` (Eq. 1) for one step series.
+
+    The one-segment case of :func:`batch_totals_mixed`: the same arithmetic
+    as :func:`estimate_series_batch`, minus the per-step output matrices.
     """
-
-    def __init__(self) -> None:
-        self.rows = 0
-        self.cols = 0
-        self.full: list[np.ndarray] = []
-        self.bools: list[np.ndarray] = []
-        self.vecs: list[np.ndarray] = []
-
-    def reserve(self, rows: int, cols: int) -> None:
-        if rows > self.rows or cols > self.cols:
-            self.rows = max(rows, self.rows)
-            self.cols = max(cols, self.cols)
-            shape = (self.rows, self.cols)
-            self.full = [np.empty(shape, dtype=np.float64) for _ in range(6)]
-            self.bools = [np.empty(shape, dtype=np.bool_) for _ in range(2)]
-            self.vecs = [np.empty(self.rows, dtype=np.float64) for _ in range(2)]
-
-
-#: Workspaces are per-thread: the raw engine is reachable outside the shared
-#: cache's lock (the service's descent rounds call it directly), so two
-#: planner threads must never scribble into the same scratch buffers.
-_WORKSPACE = threading.local()
-
-
-def _stacked_totals(
-    R: np.ndarray, cpu_coeff: np.ndarray, gpu_coeff: np.ndarray
-) -> np.ndarray:
-    """Eq. 1 totals for a ratio matrix against per-step coefficient arrays.
-
-    ``cpu_coeff``/``gpu_coeff`` are either length-``n`` vectors (every row
-    belongs to the same step series, the :func:`batch_totals` case) or full
-    ``(m, n)`` matrices carrying one coefficient vector per row (the mixed
-    case); the broadcasted arithmetic — and its floating-point operation
-    order — is identical either way.
-
-    All intermediates go through per-thread preallocated ``out=`` buffers;
-    only the returned totals vector is freshly allocated.  Every rewritten
-    expression keeps the reference operation order (the same elementwise ops
-    on the same inputs), so totals stay bit-identical to the temporary-heavy
-    formulation the Hypothesis parity suite was written against.
-    """
-    m, n = R.shape
-    ws: _TotalsWorkspace | None = getattr(_WORKSPACE, "totals", None)
-    if ws is None:
-        ws = _WORKSPACE.totals = _TotalsWorkspace()
-    ws.reserve(m, n)
-
-    cpu_cum = ws.full[0][:m, :n]
-    gpu_step = ws.full[1][:m, :n]
-    gpu_cum = ws.full[2][:m, :n]
-    one_minus = ws.full[3][:m, :n]
-
-    np.multiply(cpu_coeff, R, out=cpu_cum)  # Eq. 2 per-step CPU times ...
-    np.cumsum(cpu_cum, axis=1, out=cpu_cum)  # ... accumulated in place
-    np.subtract(1.0, R, out=one_minus)
-    np.multiply(gpu_coeff, one_minus, out=gpu_step)  # Eq. 3 per-step GPU times
-    np.cumsum(gpu_step, axis=1, out=gpu_cum)
-
-    if n > 1:
-        k = n - 1
-        r_prev, r_cur = R[:, :k], R[:, 1:]
-        om_prev, om_cur = one_minus[:, :k], one_minus[:, 1:]
-        wait = ws.full[4][:m, :k]
-        work = ws.full[5][:m, :k]
-        mask = ws.bools[0][:m, :k]
-        off = ws.bools[1][:m, :k]
-        # The divisions are only meaningful inside their masks (where the
-        # denominators are strictly positive); the masked-out lanes may
-        # produce inf/nan and are zeroed below.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # Eq. 4: the CPU waits for GPU output of step i-1.
-            np.multiply(gpu_step[:, :k], om_cur, out=work)
-            np.divide(work, om_prev, out=work)  # not_pipelined
-            np.subtract(gpu_cum[:, :k], work, out=wait)
-            np.subtract(wait, cpu_cum[:, 1:], out=wait)  # cpu_wait
-            # Eq. 5: the GPU waits for CPU output of step i-1.
-            np.multiply(gpu_step[:, 1:], om_prev, out=work)
-            np.divide(work, om_cur, out=work)  # pipelined_tail
-            np.subtract(gpu_cum[:, 1:], work, out=work)
-            np.subtract(cpu_cum[:, :k], work, out=work)  # gpu_wait
-        # cpu_delay = where(r_cur > r_prev, max(cpu_wait, 0), 0): clamp in
-        # place, then zero the masked-out lanes (nan comparisons are False,
-        # so nan lanes are zeroed exactly like np.where's else branch).  The
-        # scalar path's delay vectors lead with a structural 0.0 for step 0;
-        # adding 0 first leaves the sequential accumulation identical.
-        np.maximum(wait, 0.0, out=wait)
-        np.greater(r_cur, r_prev, out=mask)
-        np.logical_not(mask, out=off)
-        wait[off] = 0.0
-        np.cumsum(wait, axis=1, out=wait)
-        cpu_total = np.add(cpu_cum[:, -1], wait[:, -1], out=ws.vecs[0][:m])
-        np.maximum(work, 0.0, out=work)
-        np.less(r_cur, r_prev, out=mask)
-        np.logical_not(mask, out=off)
-        work[off] = 0.0
-        np.cumsum(work, axis=1, out=work)
-        gpu_total = np.add(gpu_cum[:, -1], work[:, -1], out=ws.vecs[1][:m])
-        return np.maximum(cpu_total, gpu_total)
-    return np.maximum(cpu_cum[:, -1], gpu_cum[:, -1])
-
-
-def batch_totals(
-    steps: Sequence[StepCost], ratio_matrix: ArrayLike, validate: bool = True
-) -> np.ndarray:
-    """Per-row ``total_s`` (Eq. 1) without materialising a full BatchEstimate.
-
-    This is the optimiser hot path: identical arithmetic (and floating-point
-    operation order) to :func:`estimate_series_batch`, minus the per-step
-    output matrices.  ``validate=False`` skips the [0, 1] range scan for
-    callers that generate their candidate matrices from known-valid grids.
-    """
-    n = len(steps)
-    R = as_ratio_matrix(ratio_matrix, n, validate=validate)
-    if n == 0:
-        return np.zeros(R.shape[0], dtype=np.float64)
-    cpu_coeff, gpu_coeff, _, _ = _step_coefficients(steps)
-    return _stacked_totals(R, cpu_coeff, gpu_coeff)
+    return batch_totals_mixed([(steps, ratio_matrix)])
 
 
 def mixed_matrices(
-    segments: Sequence[tuple[Sequence[StepCost], np.ndarray]],
-    validate: bool = True,
+    segments: Sequence[Segment],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Segmented coefficient matrices for a mixture of step series.
 
@@ -303,13 +168,15 @@ def mixed_matrices(
     accumulation bit-identical to the unpadded per-series evaluation).
 
     Returns ``(R, cpu_coeff, gpu_coeff)`` — the stacked ``(m, n_max)`` ratio
-    matrix and the per-row coefficient matrices for :func:`_stacked_totals`.
+    matrix and the per-row coefficient matrices that
+    :func:`batch_totals_mixed` turns into step times for
+    :func:`pipelined_totals`.
     """
     prepared: list[tuple[Sequence[StepCost], np.ndarray]] = []
     m = 0
     n_max = 0
     for steps, ratio_matrix in segments:
-        matrix = as_ratio_matrix(ratio_matrix, len(steps), validate=validate)
+        matrix = as_ratio_matrix(ratio_matrix, len(steps))
         prepared.append((steps, matrix))
         m += matrix.shape[0]
         n_max = max(n_max, len(steps))
@@ -332,29 +199,29 @@ def mixed_matrices(
     return R, cpu_coeff, gpu_coeff
 
 
-def batch_totals_mixed(
-    segments: Sequence[tuple[Sequence[StepCost], np.ndarray]],
-    validate: bool = True,
-) -> np.ndarray:
+def batch_totals_mixed(segments: Sequence[Segment]) -> np.ndarray:
     """Per-row ``total_s`` for rows drawn from *different* step series.
 
     One vectorized pass serves an arbitrary mixture of series fingerprints:
     each ``(steps, ratio_matrix)`` segment is expanded to per-row coefficient
-    vectors by :func:`mixed_matrices` and the whole stack is evaluated by the
-    same Eq. 1-5 arithmetic as :func:`batch_totals`.  Row ``j`` of the
-    returned vector is bit-identical to the corresponding row of
-    ``batch_totals(steps_j, ...)`` for the segment it came from — padding
-    adds only exact ``+0.0`` terms and masked-off delay lanes.
+    vectors by :func:`mixed_matrices`, and the whole stack goes through the
+    Eq. 2/3 products and :func:`pipelined_totals`, exactly as in
+    :func:`estimate_series_batch`.  Row ``j`` of the returned vector is
+    bit-identical to ``estimate_series(steps_j, row_j).total_s`` for the
+    segment it came from — padding adds only exact ``+0.0`` terms and
+    masked-off delay lanes.
 
-    Prefer this over per-series :func:`batch_totals` loops whenever one call
-    site holds candidate rows for several series at once (the plan service's
-    request batches, lockstep coordinate descents): the engine-call count
-    drops from one per fingerprint to one total.
+    One call serves every row a call site holds (the plan service's request
+    batches, lockstep coordinate descents), so the engine-call count is one
+    per call site, not one per fingerprint.
     """
-    R, cpu_coeff, gpu_coeff = mixed_matrices(segments, validate=validate)
+    R, cpu_coeff, gpu_coeff = mixed_matrices(segments)
     if R.shape[1] == 0:
         return np.zeros(R.shape[0], dtype=np.float64)
-    return _stacked_totals(R, cpu_coeff, gpu_coeff)
+    _, _, cpu_total, gpu_total = pipelined_totals(
+        R, cpu_coeff * R, gpu_coeff * (1.0 - R)
+    )
+    return np.maximum(cpu_total, gpu_total)
 
 
 def pipelined_totals(
@@ -372,8 +239,8 @@ def pipelined_totals(
     ``pipelined`` is off) and each device's step-time sum plus delay sum.
     Every expression keeps the scalar code's operation order, and the
     sequential cumulative sums reproduce its left-to-right sums, so each row
-    is bit-identical to the scalar evaluation.  The abstract model's batch
-    engine and the executor's ratio grid both finish here.
+    is bit-identical to the scalar evaluation.  Every batched total of the
+    abstract model and of the executor's ratio grid finishes here.
     """
     cpu_cum = np.cumsum(cpu_step, axis=1)
     gpu_cum = np.cumsum(gpu_step, axis=1)
@@ -475,25 +342,17 @@ def steps_fingerprint(steps: Sequence[StepCost]) -> Fingerprint:
 class EstimateCache:
     """Memoises cost-model evaluations across schemes, figures and queries.
 
-    Keys combine :func:`steps_fingerprint` with the ratio vector quantised to
-    ``decimals`` decimal places (the optimiser grids and Monte Carlo draws
-    are already exact at far coarser quanta, so quantisation never merges
-    distinct candidates in practice).  Two views are cached independently:
+    Keys combine :func:`steps_fingerprint` with the exact float64 bytes of
+    the ratio vector, so only a bit-identical request is served from the
+    cache.  Two views are cached independently:
 
-    * :meth:`totals` — per-row ``total_s`` for a whole ratio matrix; missing
-      rows are evaluated in one :func:`estimate_series_batch` call.
     * :meth:`totals_mixed` — per-row ``total_s`` for a mixture of step
       series; every row is keyed under its *own* series fingerprint and all
       missing rows (across every fingerprint) are evaluated in one
-      :func:`batch_totals_mixed` call.
+      :func:`batch_totals_mixed` call.  :meth:`totals` is its one-series
+      case.
     * :meth:`estimate` — a full scalar :class:`SeriesEstimate` for one
       vector, evaluated with the reference :func:`estimate_series`.
-
-    Quantisation can merge two ratio vectors that differ beyond ``decimals``
-    places into one rounded key, so every stored entry also carries the
-    exact (unrounded) row bytes; a lookup whose exact bytes disagree with
-    the stored ones is treated as a miss and recomputed rather than served
-    a neighbour's total.
 
     Entries are grouped into per-fingerprint buckets and the buckets form a
     true LRU: every lookup refreshes its step series' recency, and inserting
@@ -506,18 +365,15 @@ class EstimateCache:
     retires cold workloads instead of periodically dropping everything.
     """
 
-    def __init__(self, max_entries: int = 500_000, decimals: int = 12) -> None:
+    def __init__(self, max_entries: int = 500_000) -> None:
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
-        self.decimals = decimals
-        #: fingerprint -> {quantised row bytes -> (exact row bytes, total
-        #: seconds)}, LRU-ordered by fingerprint access.
-        self._totals: OrderedDict[
-            Fingerprint, dict[bytes, tuple[bytes, float]]
-        ] = OrderedDict()
+        #: fingerprint -> {row bytes -> total seconds}, LRU-ordered by
+        #: fingerprint access.
+        self._totals: OrderedDict[Fingerprint, dict[bytes, float]] = OrderedDict()
         self._estimates: OrderedDict[
-            Fingerprint, dict[bytes, tuple[bytes, SeriesEstimate]]
+            Fingerprint, dict[bytes, SeriesEstimate]
         ] = OrderedDict()
         self._total_rows = 0
         self._estimate_rows = 0
@@ -525,20 +381,6 @@ class EstimateCache:
         self.misses = 0
 
     # ------------------------------------------------------------------
-    def _row_keys(self, matrix: np.ndarray) -> list[tuple[bytes, bytes]]:
-        """(quantised key, exact bytes) per row of the matrix.
-
-        The quantised key addresses the bucket; the exact bytes are stored
-        alongside each entry and re-verified on every hit, so two vectors
-        that collide at ``decimals`` places can never alias each other's
-        cached totals.
-        """
-        quantised = np.round(matrix, self.decimals)
-        return [
-            (rounded.tobytes(), exact.tobytes())
-            for rounded, exact in zip(quantised, matrix)
-        ]
-
     @staticmethod
     def _touch(
         store: "OrderedDict[Fingerprint, dict[bytes, Any]]",
@@ -590,64 +432,30 @@ class EstimateCache:
 
     def _probe_totals(
         self,
-        bucket: dict[bytes, tuple[bytes, float]],
-        keys: list[tuple[bytes, bytes]],
+        bucket: dict[bytes, float],
+        keys: list[bytes],
         out: np.ndarray,
         offset: int,
     ) -> list[int]:
         """Fill ``out[offset:]`` from the bucket; return the missing rows."""
         missing: list[int] = []
-        for i, (key, exact) in enumerate(keys):
-            cached = bucket.get(key)
-            if cached is None or cached[0] != exact:
+        for i, key in enumerate(keys):
+            total = bucket.get(key)
+            if total is None:
                 missing.append(i)
             else:
-                out[offset + i] = cached[1]
+                out[offset + i] = total
         self.hits += len(keys) - len(missing)
         self.misses += len(missing)
         return missing
-
-    def _store_totals(
-        self,
-        bucket: dict[bytes, tuple[bytes, float]],
-        keys: list[tuple[bytes, bytes]],
-        rows: list[int],
-        totals: list[float],
-    ) -> int:
-        """Insert freshly computed rows; return how many keys are new."""
-        added = 0
-        for i, total in zip(rows, totals):
-            key, exact = keys[i]
-            if key not in bucket:
-                added += 1
-            bucket[key] = (exact, total)
-        return added
 
     def totals(
         self, steps: Sequence[StepCost], ratio_matrix: ArrayLike
     ) -> np.ndarray:
         """Per-row ``total_s`` of the batch, reusing previously seen rows."""
-        matrix = as_ratio_matrix(ratio_matrix, len(steps))
-        fingerprint = steps_fingerprint(steps)
-        bucket = self._touch(self._totals, fingerprint)
-        keys = self._row_keys(matrix)
-        out = np.empty(matrix.shape[0], dtype=np.float64)
-        missing = self._probe_totals(bucket, keys, out, 0)
-        added = 0
-        if missing:
-            fresh = batch_totals(steps, matrix[missing], validate=False)
-            for i, total in zip(missing, fresh.tolist()):
-                out[i] = total
-            added = self._store_totals(bucket, keys, missing, fresh.tolist())
-        if added:
-            self._total_rows = self._evict(
-                self._totals, self._total_rows + added, self._estimate_rows
-            )
-        return out
+        return self.totals_mixed([(steps, ratio_matrix)])
 
-    def totals_mixed(
-        self, segments: Sequence[tuple[Sequence[StepCost], np.ndarray]]
-    ) -> np.ndarray:
+    def totals_mixed(self, segments: Sequence[Segment]) -> np.ndarray:
         """Per-row totals for rows of *different* step series, in one call.
 
         Each ``(steps, ratio_matrix)`` segment's rows are keyed under that
@@ -659,18 +467,19 @@ class EstimateCache:
         order.
         """
         prepared: list[
-            tuple[Sequence[StepCost], np.ndarray, dict, list[tuple[bytes, bytes]]]
+            tuple[Sequence[StepCost], np.ndarray, dict[bytes, float], list[bytes]]
         ] = []
         total_rows = 0
         for steps, ratio_matrix in segments:
             matrix = as_ratio_matrix(ratio_matrix, len(steps))
             bucket = self._touch(self._totals, steps_fingerprint(steps))
-            prepared.append((steps, matrix, bucket, self._row_keys(matrix)))
+            keys = [row.tobytes() for row in matrix]
+            prepared.append((steps, matrix, bucket, keys))
             total_rows += matrix.shape[0]
 
         out = np.empty(total_rows, dtype=np.float64)
-        missing_segments: list[tuple[Sequence[StepCost], np.ndarray]] = []
-        backfill: list[tuple[dict, list[tuple[bytes, bytes]], list[int], int]] = []
+        missing_segments: list[Segment] = []
+        backfill: list[tuple[dict[bytes, float], list[bytes], list[int], int]] = []
         added = 0
         offset = 0
         for steps, matrix, bucket, keys in prepared:
@@ -681,14 +490,16 @@ class EstimateCache:
             offset += matrix.shape[0]
 
         if missing_segments:
-            fresh = batch_totals_mixed(missing_segments, validate=False)
+            fresh = batch_totals_mixed(missing_segments)
             pos = 0
             for bucket, keys, missing, offset in backfill:
                 slice_totals = fresh[pos : pos + len(missing)].tolist()
                 pos += len(missing)
+                before = len(bucket)
                 for i, total in zip(missing, slice_totals):
                     out[offset + i] = total
-                added += self._store_totals(bucket, keys, missing, slice_totals)
+                    bucket[keys[i]] = total
+                added += len(bucket) - before
         if added:
             self._total_rows = self._evict(
                 self._totals, self._total_rows + added, self._estimate_rows
@@ -702,20 +513,17 @@ class EstimateCache:
         lists, and handing out the stored instance would let one caller's
         in-place edits corrupt every later hit for the same key.
         """
-        matrix = as_ratio_matrix(list(ratios), len(steps))
-        fingerprint = steps_fingerprint(steps)
-        bucket = self._touch(self._estimates, fingerprint)
-        key, exact = self._row_keys(matrix)[0]
+        key = as_ratio_matrix(list(ratios), len(steps)).tobytes()
+        bucket = self._touch(self._estimates, steps_fingerprint(steps))
         cached = bucket.get(key)
-        if cached is not None and cached[0] == exact:
+        if cached is not None:
             self.hits += 1
-            return cached[1].copy()
+            return cached.copy()
         self.misses += 1
         estimate = estimate_series(steps, list(ratios))
-        added = 0 if key in bucket else 1
-        bucket[key] = (exact, estimate)
+        bucket[key] = estimate
         self._estimate_rows = self._evict(
-            self._estimates, self._estimate_rows + added, self._total_rows
+            self._estimates, self._estimate_rows + 1, self._total_rows
         )
         return estimate.copy()
 
@@ -761,19 +569,11 @@ class SharedEstimateCache(EstimateCache):
     requested — the property the concurrency tests pin down.
     """
 
-    def __init__(self, max_entries: int = 500_000, decimals: int = 12) -> None:
-        super().__init__(max_entries=max_entries, decimals=decimals)
+    def __init__(self, max_entries: int = 500_000) -> None:
+        super().__init__(max_entries=max_entries)
         self._lock = make_lock("estimate-cache", reentrant=True)
 
-    def totals(
-        self, steps: Sequence[StepCost], ratio_matrix: ArrayLike
-    ) -> np.ndarray:
-        with self._lock:
-            return super().totals(steps, ratio_matrix)
-
-    def totals_mixed(
-        self, segments: Sequence[tuple[Sequence[StepCost], np.ndarray]]
-    ) -> np.ndarray:
+    def totals_mixed(self, segments: Sequence[Segment]) -> np.ndarray:
         with self._lock:
             return super().totals_mixed(segments)
 

@@ -131,7 +131,7 @@ def run_monte_carlo(
     random samples, then ``chosen_ratios`` (the cost model's own pick) as
     the last row.  All random ratio vectors are estimated in one vectorized
     batch, so the model-side cost of the study is a single
-    ``estimate_series_batch`` call.  The batch goes through ``cache`` when
+    ``EstimateCache.totals`` call.  The batch goes through ``cache`` when
     given — or, by default, through the process-wide
     :func:`shared_estimate_cache`, so repeated studies over the same
     calibrated steps reuse their rows.

@@ -10,8 +10,9 @@ series sizes used in the paper while keeping optimisation time bounded.
 
 All optimisers evaluate their candidates through the vectorized batch engine
 (:mod:`repro.costmodel.batch`): the DD grid, the full 2^n OL enumeration, each
-PL coordinate's candidate column and the PL exhaustive grid are single
-``estimate_series_batch`` calls instead of per-candidate Python evaluations.
+PL descent round's candidate columns and the PL exhaustive grid are single
+``batch_totals`` (or cached ``EstimateCache.totals``) calls instead of
+per-candidate Python evaluations.
 The candidate-acceptance logic replays the batched totals in the scalar
 reference order, so the chosen ratios (and their estimates) are identical to
 the scalar path; ``use_batch=False`` keeps the scalar evaluation loop
@@ -116,7 +117,7 @@ class SeriesEvaluator:
 
     def totals(self, ratio_matrix: ArrayLike) -> np.ndarray:
         """``total_s`` per candidate row of the matrix."""
-        matrix = as_ratio_matrix(ratio_matrix, len(self.steps), validate=False)
+        matrix = as_ratio_matrix(ratio_matrix, len(self.steps))
         self.evaluations += matrix.shape[0]
         self.engine_calls += 1
         if not self.use_batch:
@@ -126,9 +127,7 @@ class SeriesEvaluator:
             )
         if self.cache is not None:
             return self.cache.totals(self.steps, matrix)
-        # The optimisers build their matrices from validated grids/ratios, so
-        # the [0, 1] re-scan is skipped on this hot path.
-        return batch_totals(self.steps, matrix, validate=False)
+        return batch_totals(self.steps, matrix)
 
     def total(self, ratios: Sequence[float]) -> float:
         return float(self.totals([list(ratios)])[0])

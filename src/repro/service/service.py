@@ -191,7 +191,7 @@ class PlanService:
             segments: list[tuple[tuple[StepCost, ...], np.ndarray]] = [
                 (tasks[key].steps, matrix) for key, matrix in pending.items()
             ]
-            totals = batch_totals_mixed(segments, validate=False)
+            totals = batch_totals_mixed(segments)
             engine_calls += 1
 
             offset = 0

@@ -9,8 +9,7 @@ Three claims are pinned here, all at bit-exactness rather than tolerance:
   row (the padded lanes only ever add exact ``+0.0`` terms).
 * ``EstimateCache.totals_mixed`` keys every row under its own fingerprint
   (hits/misses/LRU account as if ``totals`` had been called per segment)
-  and near-equal ratio vectors that collide at the rounding quantum are
-  re-verified against their exact bytes instead of aliasing.
+  and by its exact bytes, so near-equal ratio vectors never alias.
 * The vectorized PL coordinate descent returns the same plans and totals as
   the scalar reference path, in at most one engine call per descent round
   plus one per accepted update — and the mixed plan service inherits both
@@ -107,8 +106,7 @@ class TestMixedBatchEquivalence:
         i = 0
         for steps, matrix in segments:
             for row in matrix:
-                scalar = estimate_series(list(steps), row.tolist()).total_s
-                assert totals[i] == pytest.approx(scalar, abs=TOL, rel=TOL)
+                assert totals[i] == estimate_series(list(steps), row.tolist()).total_s
                 i += 1
 
     def test_single_row_segments(self):
@@ -268,25 +266,24 @@ class TestCacheTotalsMixed:
 
 
 class TestRoundingCollisionRegression:
-    """Near-equal ratios that collide at ``decimals`` places must not alias.
+    """Near-equal ratios that round to one 12-decimal key must not alias.
 
-    The cache quantises row keys to 12 decimal places; two vectors closer
-    than the quantum land on the same rounded key.  Entries therefore store
-    the exact row bytes and every hit re-verifies them, so the second vector
-    is recomputed instead of being served its neighbour's total.
+    The cache keys every row by its exact float64 bytes, so two vectors
+    closer than any rounding quantum get separate entries and the second
+    one is computed instead of being served its neighbour's total.
     """
 
     def test_colliding_rows_get_their_own_totals(self):
         steps = list(random_steps(np.random.default_rng(20), 3))
         base = np.array([[0.5, 0.25, 0.75]])
-        nudged = base + 2e-13  # rounds to the same 12-decimal key
+        nudged = base + 2e-13  # equal to base at 12 decimal places
         assert np.array_equal(np.round(base, 12), np.round(nudged, 12))
         cache = EstimateCache()
         first = cache.totals(steps, base)
         second = cache.totals(steps, nudged)
         assert first[0] == batch_totals(steps, base)[0]
         assert second[0] == batch_totals(steps, nudged)[0]
-        assert cache.misses == 2  # the collision is detected, not served
+        assert cache.misses == 2  # the neighbour's total is not served
 
     def test_colliding_rows_within_one_mixed_call(self):
         steps = list(random_steps(np.random.default_rng(21), 2))
@@ -307,8 +304,8 @@ class TestRoundingCollisionRegression:
         assert cache.misses == 2
 
     def test_boundary_crossing_neighbours_stay_distinct_keys(self):
-        """Vectors straddling a rounding boundary get distinct keys (the
-        pre-existing behaviour) — still correct, just two entries."""
+        """Vectors straddling a rounding boundary get distinct keys: still
+        correct, just two entries."""
         steps = list(random_steps(np.random.default_rng(23), 1))
         low, high = 0.4999999999994, 0.5000000000006
         assert np.round(low, 12) != np.round(high, 12)

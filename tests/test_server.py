@@ -224,6 +224,16 @@ class TestWireFidelity:
             with pytest.raises(ProtocolError):
                 PlanSubmit.from_envelope(Envelope(kind="plan.submit", payload=payload))
 
+    def test_submit_rejects_non_finite_step_costs(self):
+        """json.loads accepts NaN, so a wire line whose step costs NaN
+        decodes; the request must be refused, not planned at NaN seconds."""
+        request = PlanRequest(steps=random_steps(np.random.default_rng(7), 2)).to_dict()
+        request["steps"][0]["cpu_unit_s"] = float("nan")
+        line = Envelope(kind="plan.submit", payload={"request": request}).to_json()
+        assert "NaN" in line
+        with pytest.raises(ProtocolError):
+            PlanSubmit.from_envelope(Envelope.from_json(line))
+
     def test_error_reply_round_trip(self):
         error = ErrorReply(
             code=ERROR_DEADLINE,

@@ -115,6 +115,13 @@ class TestPlanRequestValidation:
         assert clone == request
 
     def test_load_workload_rejects_malformed(self):
+        step = {"n_tuples": 5, "cpu_unit_s": 1, "gpu_unit_s": 1}
+        # json.loads decodes NaN and +/-Infinity; no step cost may take them.
+        non_finite = [
+            [{"steps": [{**step, field: value}]}]
+            for field in ("cpu_unit_s", "gpu_unit_s", "intermediate_bytes_per_tuple")
+            for value in json.loads("[NaN, Infinity, -Infinity]")
+        ]
         for payload in (
             {},  # no requests key
             {"requests": []},  # empty
@@ -122,6 +129,8 @@ class TestPlanRequestValidation:
             [{"scheme": "PL"}],  # missing steps
             [{"steps": [{"n_tuples": 5}]}],  # step missing unit costs
             [{"steps": [{"n_tuples": -1, "cpu_unit_s": 1, "gpu_unit_s": 1}]}],
+            [{"steps": [{**step, "intermediate_bytes_per_tuple": -8.0}]}],
+            *non_finite,
         ):
             with pytest.raises(WorkloadError):
                 load_workload(payload)
