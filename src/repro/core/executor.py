@@ -23,7 +23,7 @@ from ..hardware.machine import CPU, GPU, Machine
 from ..hardware.pcie import PCIeBus
 from ..hardware.workstats import TimeBreakdown
 from ..hashjoin.steps import StepExecution, StepSeries
-from ..costmodel.abstract import CostModelError, pipeline_delays
+from ..costmodel.abstract import CostModelError, left_sum, pipeline_delays
 from ..costmodel.batch import as_ratio_matrix, pipelined_totals
 
 
@@ -68,11 +68,11 @@ class PhaseTiming:
 
     @property
     def cpu_total_s(self) -> float:
-        return sum(s.cpu_s for s in self.steps) + sum(self.cpu_delay_s)
+        return left_sum(s.cpu_s for s in self.steps) + left_sum(self.cpu_delay_s)
 
     @property
     def gpu_total_s(self) -> float:
-        return sum(s.gpu_s for s in self.steps) + sum(self.gpu_delay_s)
+        return left_sum(s.gpu_s for s in self.steps) + left_sum(self.gpu_delay_s)
 
     @property
     def compute_s(self) -> float:

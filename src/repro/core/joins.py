@@ -19,7 +19,6 @@ The returned :class:`JoinTiming` carries both the measured phase breakdown
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 from ..costmodel.batch import EstimateCache
 from ..costmodel.calibration import CalibrationTable
@@ -315,26 +314,23 @@ def external_pair_joiner(
     algorithm: str = PHJ,
     scheme: Scheme | str = Scheme.PIPELINED,
     machine: Machine | None = None,
-    machine_factory: Callable[[], Machine] | None = None,
     **config_kwargs,
 ):
     """Adapter for :class:`repro.hashjoin.external.ExternalHashJoin`.
 
     Returns a callable mapping one in-buffer partition pair to
-    ``(simulated seconds, join result)``.  A shared ``machine`` carries
-    mutable counters that ``run_join`` resets per call, so a joiner built on
-    one is not thread-safe; for ``ExternalHashJoin(parallel=True)`` pass
-    ``machine_factory`` instead — every invocation then measures against a
-    fresh machine of its own.
+    ``(simulated seconds, join result)``, measured by ``run_join`` on
+    ``machine`` (a fresh coupled machine per pair when ``None``).
+
+    ``run_join`` resets the machine's counters on every call.  When the
+    external join charges its copies to that same machine, as Figure 19
+    does, ``machine.memory.copied_bytes`` after the run therefore counts
+    only the copies charged after the last pair join.  The run's
+    ``ExternalJoinBreakdown`` holds every charge.
     """
-    if machine is not None and machine_factory is not None:
-        raise ValueError("pass either machine or machine_factory, not both")
 
     def joiner(build: Relation, probe: Relation) -> tuple[float, JoinResult]:
-        pair_machine = machine_factory() if machine_factory is not None else machine
-        timing = run_join(
-            algorithm, scheme, build, probe, machine=pair_machine, **config_kwargs
-        )
+        timing = run_join(algorithm, scheme, build, probe, machine=machine, **config_kwargs)
         return timing.total_s, timing.result
 
     return joiner

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 CPU = "cpu"
 GPU = "gpu"
@@ -24,6 +24,21 @@ GPU = "gpu"
 
 class CostModelError(ValueError):
     """Raised for inconsistent cost-model inputs."""
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """Add ``values`` one by one, left to right, as ``np.cumsum`` does.
+
+    The scalar reference adds with this fold, not the built-in ``sum()``:
+    CPython 3.12 made ``sum()`` of floats compensated, so it can differ from
+    the vector kernel's left-to-right sums in the last bit (ten steps of
+    0.1 s add up to 1.0 there, but to 0.9999999999999999 here and in the
+    kernel, on every Python version).
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 @dataclass(frozen=True)
@@ -81,11 +96,11 @@ class SeriesEstimate:
 
     @property
     def cpu_total_s(self) -> float:
-        return sum(self.cpu_step_s) + sum(self.cpu_delay_s)
+        return left_sum(self.cpu_step_s) + left_sum(self.cpu_delay_s)
 
     @property
     def gpu_total_s(self) -> float:
-        return sum(self.gpu_step_s) + sum(self.gpu_delay_s)
+        return left_sum(self.gpu_step_s) + left_sum(self.gpu_delay_s)
 
     @property
     def total_s(self) -> float:
@@ -134,12 +149,12 @@ def pipeline_delays(
         if r_cur > r_prev:
             # Eq. 4: the CPU waits for GPU output of step i-1.
             not_pipelined = gpu_step_s[i - 1] * (1.0 - r_cur) / (1.0 - r_prev)
-            delay = (sum(gpu_step_s[:i]) - not_pipelined) - sum(cpu_step_s[: i + 1])
+            delay = (left_sum(gpu_step_s[:i]) - not_pipelined) - left_sum(cpu_step_s[: i + 1])
             cpu_delay[i] = max(delay, 0.0)
         elif r_cur < r_prev:
             # Eq. 5: the GPU waits for CPU output of step i-1.
             pipelined_tail = gpu_step_s[i] * (1.0 - r_prev) / (1.0 - r_cur)
-            delay = sum(cpu_step_s[:i]) - (sum(gpu_step_s[: i + 1]) - pipelined_tail)
+            delay = left_sum(cpu_step_s[:i]) - (left_sum(gpu_step_s[: i + 1]) - pipelined_tail)
             gpu_delay[i] = max(delay, 0.0)
     return cpu_delay, gpu_delay
 
@@ -198,4 +213,4 @@ def estimate_phases(
 
 def total_elapsed(estimates: dict[str, SeriesEstimate]) -> float:
     """Elapsed time of consecutive phases (barriers between them)."""
-    return sum(e.total_s for e in estimates.values())
+    return left_sum(e.total_s for e in estimates.values())

@@ -4,8 +4,13 @@ PHJ (fine-grained steps per pair) and PHJ-PL' (one coarse step per pair)
 share one partition-pair path: :func:`partition_pairs` partitions both
 relations and carries the murmur hashes, :func:`pair_table` picks every pair
 table's buckets from them, and :func:`run_pairs` joins the pairs on the
-process pool when ``parallel=True``.  That pool and the robust out-of-core
-join are documented in ``docs/performance.md``.
+process pool when ``parallel=True``.  Divergence grouping (Section 3.3) has
+one model: ``HashJoinConfig(grouping=True)`` marks the skew-sensitive steps
+grouped, and :meth:`PerTupleWork.stats_for_range` sorts each such range
+before measuring its divergence.  :class:`ExternalHashJoin` joins the pairs
+of an out-of-buffer join one after another, always building on the smaller
+side.  The pool and the out-of-core join are documented in
+``docs/performance.md``.
 """
 
 from .coarse import PAIR_JOIN_STEP, CoarseGrainedPHJ, CoarsePHJRun, join_pair_coarse
@@ -17,14 +22,7 @@ from .external import (
     ExternalJoinBreakdown,
     ExternalJoinRun,
     ExternalJoinStats,
-    SuperPartitionOverflowError,
     plan_super_partitions,
-)
-from .grouping import (
-    GroupingDecision,
-    evaluate_grouping,
-    evaluate_step_grouping,
-    tune_group_count,
 )
 from .hashtable import (
     BUCKET_HEADER_BYTES,
@@ -104,7 +102,6 @@ __all__ = [
     "ExternalJoinBreakdown",
     "ExternalJoinRun",
     "ExternalJoinStats",
-    "GroupingDecision",
     "HashJoinConfig",
     "HashTable",
     "HashTableError",
@@ -134,14 +131,11 @@ __all__ = [
     "StepDefinition",
     "StepExecution",
     "StepSeries",
-    "SuperPartitionOverflowError",
     "arena_capacity_for",
     "bucket_of",
     "bucket_of_hashed",
     "concat_step_series",
     "default_bucket_count",
-    "evaluate_grouping",
-    "evaluate_step_grouping",
     "execute_build",
     "execute_partition_phase",
     "execute_probe",
@@ -162,6 +156,5 @@ __all__ = [
     "shared_pair_pool",
     "split_balanced",
     "step_by_name",
-    "tune_group_count",
     "vectorized_reference_join",
 ]

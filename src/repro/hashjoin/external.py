@@ -37,7 +37,6 @@ the exact join result, and the robustness counters.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -46,7 +45,7 @@ import numpy as np
 from ..data.relation import TUPLE_BYTES, Relation
 from ..hardware.machine import Machine, coupled_machine
 from .murmur import radix_of
-from .partition import MAX_RADIX_BITS, PartitionError, split_relation_by_partition
+from .partition import MAX_RADIX_BITS, split_relation_by_partition
 from .result import JoinResult
 
 #: Chunk size used by the paper when staging data through the buffer.
@@ -57,25 +56,6 @@ RESULT_PAIR_BYTES = 8
 
 #: Radix-bit ceiling shared with ``PartitionConfig``/``radix_of``.
 MAX_SUPER_PARTITION_BITS = MAX_RADIX_BITS
-
-
-class SuperPartitionOverflowError(PartitionError):
-    """The required super-partition fan-out exceeds the radix-bit ceiling.
-
-    Raised by :func:`plan_super_partitions` when clamping is disabled;
-    carries the structured ``needed_bits``/``max_bits`` so callers can size
-    buffers or fall back programmatically.
-    """
-
-    def __init__(self, needed_bits: int, max_bits: int) -> None:
-        super().__init__(
-            f"super-partition fan-out needs {needed_bits} radix bits, beyond "
-            f"the {max_bits}-bit ceiling; clamp the fan-out (stage-2 "
-            "recursion and spilling absorb the overflow pairs) or enlarge "
-            "the buffer"
-        )
-        self.needed_bits = needed_bits
-        self.max_bits = max_bits
 
 
 @dataclass
@@ -114,15 +94,6 @@ class ExternalJoinStats:
     #: Largest (build + probe) bytes handed to one in-buffer join.
     max_in_buffer_bytes: int = 0
 
-    def merge(self, other: "ExternalJoinStats") -> None:
-        self.spilled_pairs += other.spilled_pairs
-        self.recursive_splits += other.recursive_splits
-        self.role_reversals += other.role_reversals
-        self.max_pair_depth = max(self.max_pair_depth, other.max_pair_depth)
-        self.max_in_buffer_bytes = max(
-            self.max_in_buffer_bytes, other.max_in_buffer_bytes
-        )
-
 
 @dataclass
 class ExternalJoinRun:
@@ -140,19 +111,27 @@ class ExternalJoinRun:
 #: its SHJ-PL / PHJ-PL executors.
 PairJoiner = Callable[[Relation, Relation], tuple[float, JoinResult]]
 
-#: One deferred accounting charge: ("copy", bytes) / ("join" | "partition",
-#: seconds).  Pair tasks record events instead of touching the shared
-#: machine, and the driver replays them in pair order — so parallel pair
-#: execution accumulates the breakdown bit-identically to the serial loop.
-_Event = tuple[str, float]
 
+def _split_pairs(
+    build: Relation, probe: Relation, bits: int, seed: int, labels: tuple[str, str]
+) -> list[tuple[Relation, Relation]]:
+    """Radix-split both sides on ``bits`` bits of their keys' hashes.
 
-def _split_by_partition(
-    relation: Relation, ids: np.ndarray, n_parts: int, label: str
-) -> list[Relation]:
-    """Split a relation into its super partitions (shared split kernel)."""
-    parts, _ = split_relation_by_partition(relation, ids, n_parts, label)
-    return parts
+    Returns the pairs under the partition ids that both sides hold, in
+    ascending id order.
+    """
+    build_pids, build_parts, _ = split_relation_by_partition(
+        build, radix_of(build.keys, bits, pass_index=0, seed=seed), 1 << bits, labels[0]
+    )
+    probe_pids, probe_parts, _ = split_relation_by_partition(
+        probe, radix_of(probe.keys, bits, pass_index=0, seed=seed), 1 << bits, labels[1]
+    )
+    probe_by_pid = dict(zip(probe_pids, probe_parts))
+    return [
+        (build_part, probe_by_pid[pid])
+        for pid, build_part in zip(build_pids, build_parts)
+        if pid in probe_by_pid
+    ]
 
 
 def plan_super_partitions(
@@ -160,27 +139,20 @@ def plan_super_partitions(
     probe: Relation,
     machine: Machine,
     overhead_factor: float = 2.0,
-    max_bits: int = MAX_SUPER_PARTITION_BITS,
-    clamp: bool = True,
 ) -> int:
     """Number of first-level partitions so one pair fits the zero copy buffer.
 
     The fan-out is a power of two so radix bits describe it, and never
-    exceeds ``2**max_bits`` — the ceiling ``PartitionConfig``/``radix_of``
-    enforce.  Past the ceiling the fan-out is clamped (overflowing pairs are
-    handled by stage-2 recursion and spilling); ``clamp=False`` raises a
-    structured :class:`SuperPartitionOverflowError` instead.
+    exceeds ``2**MAX_SUPER_PARTITION_BITS`` — the ceiling
+    ``PartitionConfig``/``radix_of`` enforce.  Past the ceiling the fan-out
+    is clamped; stage-2 recursion and spilling handle the overflowing pairs.
     """
     buffer_bytes = machine.memory.zero_copy.capacity_bytes
     total_bytes = (build.nbytes + probe.nbytes) * overhead_factor
     if total_bytes <= buffer_bytes:
         return 1
     needed = int(np.ceil(total_bytes / buffer_bytes))
-    bits = int(np.ceil(np.log2(needed)))
-    if bits > max_bits:
-        if not clamp:
-            raise SuperPartitionOverflowError(bits, max_bits)
-        bits = max_bits
+    bits = min(int(np.ceil(np.log2(needed))), MAX_SUPER_PARTITION_BITS)
     return 1 << bits
 
 
@@ -195,9 +167,6 @@ class ExternalHashJoin:
         partition_rate_tuples_per_s: float = 55e6,
         overhead_factor: float = 2.0,
         max_recursion_depth: int = 3,
-        role_reversal: bool = True,
-        parallel: bool = False,
-        n_workers: int | None = None,
     ) -> None:
         """``partition_rate_tuples_per_s`` is the co-processed radix
         partitioning throughput used to charge the staging passes; the default
@@ -207,14 +176,12 @@ class ExternalHashJoin:
         in-buffer join (hash table + output next to the inputs); a pair fits
         when ``(build + probe bytes) * overhead_factor`` is within the
         buffer.  ``max_recursion_depth`` bounds the re-partitioning levels
-        below the super partitions; ``role_reversal=False`` keeps the
-        caller's build side even when it is the larger one.
+        below the super partitions.
 
-        ``parallel=True`` joins independent super-partition pairs on a
-        thread pool (``n_workers`` threads) — the ``pair_joiner`` must then
-        be thread-safe (see ``external_pair_joiner(machine_factory=...)``).
-        ``parallel=False`` is the bit-matched serial reference: charges are
-        recorded as per-pair events and replayed in pair order either way.
+        Role reversal is always on: every in-buffer join builds on the
+        smaller side of its pair.  The pairs are joined one after another,
+        and each charge goes straight into the run's breakdown: stage-1
+        staging first, then pair by pair.
         """
         self.pair_joiner = pair_joiner
         self.machine = machine or coupled_machine()
@@ -228,9 +195,6 @@ class ExternalHashJoin:
         self.partition_rate = partition_rate_tuples_per_s
         self.overhead_factor = overhead_factor
         self.max_recursion_depth = max_recursion_depth
-        self.role_reversal = role_reversal
-        self.parallel = parallel
-        self.n_workers = n_workers
 
     # ------------------------------------------------------------------
     @property
@@ -241,26 +205,19 @@ class ExternalHashJoin:
         pair_bytes = build_part.nbytes + probe_part.nbytes
         return pair_bytes * self.overhead_factor <= self._buffer_bytes
 
-    def _replay(self, events: list[_Event], breakdown: ExternalJoinBreakdown) -> None:
-        """Apply deferred charges in recorded order (bit-stable accumulation)."""
-        for kind, value in events:
-            if kind == "copy":
-                breakdown.data_copy_s += self.machine.memory.copy_time(int(value))
-            elif kind == "join":
-                breakdown.join_s += float(value)
-            else:
-                breakdown.partition_s += float(value)
+    def _charge_copy(self, nbytes: int, breakdown: ExternalJoinBreakdown) -> None:
+        breakdown.data_copy_s += self.machine.memory.copy_time(nbytes)
 
-    def _charge_staging(self, relation: Relation, events: list[_Event]) -> None:
+    def _charge_staging(self, relation: Relation, breakdown: ExternalJoinBreakdown) -> None:
         """Chunked copy-in / partition / copy-out charges for one relation."""
         n_chunks = int(np.ceil(len(relation) / self.chunk_tuples))
         for chunk in range(n_chunks):
             start = chunk * self.chunk_tuples
             stop = min(start + self.chunk_tuples, len(relation))
             chunk_bytes = (stop - start) * TUPLE_BYTES
-            events.append(("copy", chunk_bytes))  # in
-            events.append(("partition", (stop - start) / self.partition_rate))
-            events.append(("copy", chunk_bytes))  # out
+            self._charge_copy(chunk_bytes, breakdown)  # in
+            breakdown.partition_s += (stop - start) / self.partition_rate
+            self._charge_copy(chunk_bytes, breakdown)  # out
 
     # ------------------------------------------------------------------
     # In-buffer pair joins (role reversal + result copy-out accounting)
@@ -270,7 +227,7 @@ class ExternalHashJoin:
         build_side: Relation,
         probe_side: Relation,
         swapped: bool,
-        events: list[_Event],
+        breakdown: ExternalJoinBreakdown,
         stats: ExternalJoinStats,
     ) -> JoinResult:
         """One in-buffer join; ``swapped`` means the roles were reversed."""
@@ -283,31 +240,30 @@ class ExternalHashJoin:
             result = JoinResult(
                 build_rids=result.probe_rids, probe_rids=result.build_rids
             )
-        events.append(("join", join_s))
+        breakdown.join_s += float(join_s)
         # The matching rid pairs leave the buffer: charge their copy-out
         # (the historical accounting only charged the pair's copy-in).
-        events.append(("copy", result.match_count * RESULT_PAIR_BYTES))
+        self._charge_copy(result.match_count * RESULT_PAIR_BYTES, breakdown)
         return result
 
     def _buffered_join(
         self,
         build_part: Relation,
         probe_part: Relation,
-        events: list[_Event],
+        breakdown: ExternalJoinBreakdown,
         stats: ExternalJoinStats,
     ) -> JoinResult:
         """Join one fitting pair inside the buffer (build on the smaller side)."""
-        events.append(("copy", build_part.nbytes + probe_part.nbytes))
-        swap = self.role_reversal and len(probe_part) < len(build_part)
-        if swap:
-            return self._invoke_joiner(probe_part, build_part, True, events, stats)
-        return self._invoke_joiner(build_part, probe_part, False, events, stats)
+        self._charge_copy(build_part.nbytes + probe_part.nbytes, breakdown)
+        if len(probe_part) < len(build_part):
+            return self._invoke_joiner(probe_part, build_part, True, breakdown, stats)
+        return self._invoke_joiner(build_part, probe_part, False, breakdown, stats)
 
     def _spill_join(
         self,
         build_part: Relation,
         probe_part: Relation,
-        events: list[_Event],
+        breakdown: ExternalJoinBreakdown,
         stats: ExternalJoinStats,
     ) -> list[JoinResult]:
         """Stream an oversized pair through the buffer (dynamic spilling).
@@ -321,7 +277,7 @@ class ExternalHashJoin:
         budget_tuples = max(
             int(self._buffer_bytes // (self.overhead_factor * TUPLE_BYTES)), 2
         )
-        if self.role_reversal and len(probe_part) < len(build_part):
+        if len(probe_part) < len(build_part):
             resident, streamed, swap = probe_part, build_part, True
         else:
             resident, streamed, swap = build_part, probe_part, False
@@ -329,21 +285,21 @@ class ExternalHashJoin:
         results: list[JoinResult] = []
         if len(resident) < budget_tuples:
             stream_chunk = budget_tuples - len(resident)
-            events.append(("copy", resident.nbytes))
+            self._charge_copy(resident.nbytes, breakdown)
             for piece in streamed.split_chunks(stream_chunk):
-                events.append(("copy", piece.nbytes))
+                self._charge_copy(piece.nbytes, breakdown)
                 results.append(
-                    self._invoke_joiner(resident, piece, swap, events, stats)
+                    self._invoke_joiner(resident, piece, swap, breakdown, stats)
                 )
         else:
             half = max(budget_tuples // 2, 1)
             for resident_piece in resident.split_chunks(half):
-                events.append(("copy", resident_piece.nbytes))
+                self._charge_copy(resident_piece.nbytes, breakdown)
                 for streamed_piece in streamed.split_chunks(half):
-                    events.append(("copy", streamed_piece.nbytes))
+                    self._charge_copy(streamed_piece.nbytes, breakdown)
                     results.append(
                         self._invoke_joiner(
-                            resident_piece, streamed_piece, swap, events, stats
+                            resident_piece, streamed_piece, swap, breakdown, stats
                         )
                     )
         return results
@@ -365,7 +321,8 @@ class ExternalHashJoin:
     ) -> tuple[list[tuple[Relation, Relation]], int] | None:
         """Split an overflowing pair one level deeper, if that helps.
 
-        Returns ``(child pairs, child seed)`` or ``None`` when the depth
+        Returns ``(child pairs, child seed)``, where the child pairs are the
+        children that hold tuples of both sides, or ``None`` when the depth
         budget is exhausted or the split makes no progress (all tuples land
         in one child — e.g. a single heavy-hitter key), in which case the
         caller spills instead.  Nothing is charged for an abandoned split.
@@ -378,50 +335,41 @@ class ExternalHashJoin:
         )
         bits = max(1, int(np.ceil(np.log2(max(needed, 2)))))
         bits = min(bits, MAX_SUPER_PARTITION_BITS)
-        n_children = 1 << bits
         child_seed = self._child_seed(seed, depth)
-        build_ids = radix_of(build_part.keys, bits, pass_index=0, seed=child_seed)
-        probe_ids = radix_of(probe_part.keys, bits, pass_index=0, seed=child_seed)
-        build_children = _split_by_partition(
-            build_part, build_ids, n_children, build_part.name
+        child_pairs = _split_pairs(
+            build_part, probe_part, bits, child_seed, (build_part.name, probe_part.name)
         )
-        probe_children = _split_by_partition(
-            probe_part, probe_ids, n_children, probe_part.name
-        )
-        child_pairs = list(zip(build_children, probe_children))
-        largest = max(b.nbytes + p.nbytes for b, p in child_pairs)
+        largest = max((b.nbytes + p.nbytes for b, p in child_pairs), default=0)
         if largest >= pair_bytes:
             return None
         return child_pairs, child_seed
 
-    def _join_pair_task(
+    def _join_pair(
         self,
         build_part: Relation,
         probe_part: Relation,
         seed: int,
-        events: list[_Event],
+        breakdown: ExternalJoinBreakdown,
         stats: ExternalJoinStats,
         depth: int = 0,
     ) -> list[JoinResult]:
-        """Join one pair: fit, or recurse, or spill.  Records events only."""
+        """Join one pair: fit, or recurse, or spill."""
         stats.max_pair_depth = max(stats.max_pair_depth, depth)
         if self._fits(build_part, probe_part):
-            return [self._buffered_join(build_part, probe_part, events, stats)]
+            return [self._buffered_join(build_part, probe_part, breakdown, stats)]
         split = self._try_recursive_split(build_part, probe_part, seed, depth)
         if split is None:
-            return self._spill_join(build_part, probe_part, events, stats)
+            return self._spill_join(build_part, probe_part, breakdown, stats)
         child_pairs, child_seed = split
         stats.recursive_splits += 1
         # Re-partitioning stages the pair through the buffer again.
-        self._charge_staging(build_part, events)
-        self._charge_staging(probe_part, events)
+        self._charge_staging(build_part, breakdown)
+        self._charge_staging(probe_part, breakdown)
         results: list[JoinResult] = []
         for child_build, child_probe in child_pairs:
-            if len(child_build) == 0 or len(child_probe) == 0:
-                continue
             results.extend(
-                self._join_pair_task(
-                    child_build, child_probe, child_seed, events, stats, depth + 1
+                self._join_pair(
+                    child_build, child_probe, child_seed, breakdown, stats, depth + 1
                 )
             )
         return results
@@ -447,53 +395,18 @@ class ExternalHashJoin:
                 stats=stats,
             )
 
-        bits = int(np.log2(n_parts))
-        build_ids = radix_of(build.keys, bits, pass_index=0, seed=seed)
-        probe_ids = radix_of(probe.keys, bits, pass_index=0, seed=seed)
-
         # Stage 1: partition chunk by chunk inside the buffer, copying the
         # chunk in and the produced partitions back out.
-        staging_events: list[_Event] = []
-        self._charge_staging(build, staging_events)
-        self._charge_staging(probe, staging_events)
-        self._replay(staging_events, breakdown)
+        self._charge_staging(build, breakdown)
+        self._charge_staging(probe, breakdown)
 
-        # Stage 2: join each linked partition pair inside the buffer.  The
-        # pairs are carved out of one stable radix sort per relation; each pair
-        # task records its charges as events so independent pairs can run on
-        # worker threads, and the driver replays every pair's events in pair
-        # order — the breakdown accumulates bit-identically to the serial
-        # loop regardless of completion order.
-        build_parts = _split_by_partition(build, build_ids, n_parts, "R")
-        probe_parts = _split_by_partition(probe, probe_ids, n_parts, "S")
-        pairs = [
-            (build_part, probe_part)
-            for build_part, probe_part in zip(build_parts, probe_parts)
-            if len(build_part) and len(probe_part)
-        ]
-
-        def pair_task(
-            pair: tuple[Relation, Relation]
-        ) -> tuple[list[_Event], list[JoinResult], ExternalJoinStats]:
-            events: list[_Event] = []
-            local_stats = ExternalJoinStats()
-            pair_results = self._join_pair_task(
-                pair[0], pair[1], seed, events, local_stats
-            )
-            return events, pair_results, local_stats
-
-        if self.parallel and len(pairs) > 1:
-            max_workers = max(1, self.n_workers or min(os_cpu_count(), 8))
-            with ThreadPoolExecutor(max_workers=max_workers) as executor:
-                outcomes = list(executor.map(pair_task, pairs))
-        else:
-            outcomes = [pair_task(pair) for pair in pairs]
-
+        # Stage 2: join each linked partition pair inside the buffer, in
+        # partition order.  The pairs are carved out of one stable radix
+        # sort per relation.
+        pairs = _split_pairs(build, probe, int(np.log2(n_parts)), seed, ("R", "S"))
         results: list[JoinResult] = []
-        for events, pair_results, local_stats in outcomes:
-            self._replay(events, breakdown)
-            results.extend(pair_results)
-            stats.merge(local_stats)
+        for build_part, probe_part in pairs:
+            results.extend(self._join_pair(build_part, probe_part, seed, breakdown, stats))
 
         return ExternalJoinRun(
             breakdown=breakdown,
@@ -502,10 +415,3 @@ class ExternalHashJoin:
             fits_in_buffer=False,
             stats=stats,
         )
-
-
-def os_cpu_count() -> int:
-    """CPU count with a floor of 1 (module-level for test monkeypatching)."""
-    import os
-
-    return os.cpu_count() or 1

@@ -132,22 +132,19 @@ class PartitionSet:
             np.int64
         )
 
-    def partitions_with_hashes(
-        self, pids: np.ndarray | None = None
-    ) -> list[tuple[Relation, np.ndarray]]:
-        """(partition relation, its slice of the carried hashes) for each
-        partition id in ``pids`` (ascending; every partition by default)."""
+    def partitions_with_hashes(self) -> dict[int, tuple[Relation, np.ndarray]]:
+        """(partition relation, its slice of the carried hashes) under each
+        partition id that holds tuples, in ascending id order."""
         if self.key_hashes is None:
             raise PartitionError("the partition set carries no hashes")
-        parts, hashes = split_relation_by_partition(
+        pids, parts, hashes = split_relation_by_partition(
             self.relation,
             self.partition_ids,
             self.n_partitions,
             self.relation.name,
             key_hashes=self.key_hashes,
-            pids=pids,
         )
-        return list(zip(parts, hashes))
+        return dict(zip(pids, zip(parts, hashes)))
 
 
 def split_relation_by_partition(
@@ -156,39 +153,41 @@ def split_relation_by_partition(
     n_parts: int,
     label: str,
     key_hashes: np.ndarray | None = None,
-    pids: np.ndarray | None = None,
-) -> tuple[list[Relation], list[np.ndarray]]:
-    """Carve a relation into its partitions with one stable radix sort.
+) -> tuple[list[int], list[Relation], list[np.ndarray]]:
+    """Carve a relation into the partitions its tuples occupy, with one
+    stable radix sort.
 
-    Equivalent to ``relation.take(np.flatnonzero(ids == pid))`` per pid —
-    a stable sort keeps ascending positions inside every partition, so each
-    part's tuples come out in the identical order.  The ids are sorted as
+    Returns the occupied partition ids in ascending order, the part under
+    each (named ``label[pid]``) and, when ``key_hashes`` is given, its slice
+    per part (else no slices).  Part ``pid`` equals
+    ``relation.take(np.flatnonzero(ids == pid))``: a stable sort keeps
+    ascending positions inside every partition.  The ids are sorted as
     uint16 digits (:func:`~repro.hashjoin.hashtable.radix_digits`), which
-    numpy radix-sorts in linear time.  The single split kernel
-    behind :meth:`PartitionSet.partitions_with_hashes` and the external
-    join's super-partition staging.  Returns one part per id in ``pids``
-    (ascending; every partition when ``None``) and, when ``key_hashes`` is
-    given, its slice per part (else no slices).
+    numpy radix-sorts in linear time, and the occupied ids and their bounds
+    are read off the sorted ids, so nothing is allocated per possible
+    partition.  The single split kernel behind
+    :meth:`PartitionSet.partitions_with_hashes` and the external join's
+    super-partition staging.
     """
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= n_parts):
-        raise PartitionError(
-            f"partition ids out of range [0, {n_parts}); bincount would "
-            "silently drop those tuples"
-        )
+        raise PartitionError(f"partition ids out of range [0, {n_parts})")
     order = np.lexsort(radix_digits(ids))
-    sizes = np.bincount(ids, minlength=n_parts)
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    bounds = [
-        (pid, int(offsets[pid]), int(offsets[pid + 1]))
-        for pid in (range(n_parts) if pids is None else np.asarray(pids).tolist())
-    ]
+    sorted_ids = ids[order]
+    first = np.ones(sorted_ids.size, dtype=bool)
+    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    pids = sorted_ids[starts].tolist()
+    bounds = list(zip(starts.tolist(), [*starts[1:].tolist(), ids.size]))
     sorted_rel = relation.take(order)
-    parts = [sorted_rel.slice(start, stop, name=f"{label}[{pid}]") for pid, start, stop in bounds]
+    parts = [
+        sorted_rel.slice(start, stop, name=f"{label}[{pid}]")
+        for pid, (start, stop) in zip(pids, bounds)
+    ]
     if key_hashes is None:
-        return parts, []
+        return pids, parts, []
     sorted_hashes = key_hashes[order]
-    return parts, [sorted_hashes[start:stop] for _, start, stop in bounds]
+    return pids, parts, [sorted_hashes[start:stop] for start, stop in bounds]
 
 
 @dataclass
@@ -379,24 +378,27 @@ def partition_pairs(
 
     Returns the partition phase, the pairs with at least one tuple in
     partition order, and the allocator the partition phase drew from, which
-    the pair tables draw from next.  Only those pairs' partitions are
-    sliced, so the cost follows the tuples, not the partition count.
+    the pair tables draw from next.  Each side's occupied partitions are read
+    off its sorted ids, and a side holding no tuple of a pair gets an empty
+    part, so neither time nor memory follows the partition count.
     """
     allocator = config.make_allocator(
         arena_capacity_for(len(build), len(probe)) + (len(build) + len(probe)) * 16
     )
     phase = execute_partition_phase(build, probe, partition_config, config, allocator)
-    live = np.flatnonzero(
-        phase.build_partitions.partition_sizes() + phase.probe_partitions.partition_sizes()
-    )
-    pairs = [
-        (build_part, probe_part, build_hashes, probe_hashes)
-        for (build_part, build_hashes), (probe_part, probe_hashes) in zip(
-            phase.build_partitions.partitions_with_hashes(live),
-            phase.probe_partitions.partitions_with_hashes(live),
-        )
-    ]
+    build_parts = phase.build_partitions.partitions_with_hashes()
+    probe_parts = phase.probe_partitions.partitions_with_hashes()
+    pairs: list[PartitionPair] = []
+    for pid in sorted(build_parts.keys() | probe_parts.keys()):
+        build_part, build_hashes = build_parts.get(pid) or _no_tuples(build, pid)
+        probe_part, probe_hashes = probe_parts.get(pid) or _no_tuples(probe, pid)
+        pairs.append((build_part, probe_part, build_hashes, probe_hashes))
     return phase, pairs, allocator
+
+
+def _no_tuples(relation: Relation, pid: int) -> tuple[Relation, np.ndarray]:
+    """Partition ``pid`` of a relation that holds none of its tuples."""
+    return relation.slice(0, 0, name=f"{relation.name}[{pid}]"), np.empty(0, dtype=np.uint64)
 
 
 # ---------------------------------------------------------------------------

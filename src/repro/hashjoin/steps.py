@@ -176,17 +176,6 @@ class PerTupleWork:
             )
         return self._proxy_cache
 
-    def workload_proxy(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Scalar per-tuple execution-time proxy used for divergence."""
-        stop = self.n_tuples if stop is None else stop
-        n = max(stop - start, 0)
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
-        proxy = self._full_proxy()
-        if isinstance(proxy, float):
-            return np.full(self.n_tuples, proxy)[start:stop]
-        return proxy[start:stop].copy()
-
     def stats_for_range(
         self,
         start: int,

@@ -13,7 +13,6 @@ from .atomics import LatchTable, concurrent_hardware_threads, contention_ratio
 from .wavefront import (
     AMD_WAVEFRONT_WIDTH,
     DivergenceReport,
-    grouped_divergence,
     wavefront_divergence,
 )
 
@@ -29,7 +28,6 @@ __all__ = [
     "MemoryAllocator",
     "concurrent_hardware_threads",
     "contention_ratio",
-    "grouped_divergence",
     "make_allocator",
     "wavefront_divergence",
 ]

@@ -4,8 +4,11 @@ All work items of a wavefront run in SIMD lock-step, so the wavefront's
 execution time equals the *worst* execution time among its work items
 (Section 3.3).  Divergent per-tuple workloads — e.g. skewed key-list lengths
 in steps ``b3``/``p3`` — therefore waste GPU cycles.  This module quantifies
-that waste and implements the grouping optimisation the paper borrows from
-[18]: sorting the input by expected workload before forming wavefronts.
+that waste.  The grouping optimisation the paper borrows from [18], sorting
+the input by expected workload before forming wavefronts, is applied where
+the range statistics are taken:
+:meth:`~repro.hashjoin.steps.PerTupleWork.stats_for_range` with
+``grouped=True`` sorts the range before measuring its divergence here.
 """
 
 from __future__ import annotations
@@ -93,39 +96,3 @@ def uniform_divergence(value: float, n: int, width: int = AMD_WAVEFRONT_WIDTH) -
     if 0.0 <= value < math.inf and n * value.as_integer_ratio()[0] <= 2**53:
         return 0.0
     return wavefront_divergence(np.full(n, value), width).divergence
-
-
-def grouped_divergence(
-    workloads: np.ndarray,
-    width: int = AMD_WAVEFRONT_WIDTH,
-    n_groups: int = 32,
-) -> tuple[DivergenceReport, np.ndarray]:
-    """Divergence after the grouping optimisation of Section 3.3.
-
-    Items are bucketed into ``n_groups`` groups of similar workload (the paper
-    groups hash-bucket headers by key-list length) and wavefronts are formed
-    within groups, so each wavefront sees similar work.  Returns the report
-    and the permutation applied to the input.
-
-    ``n_groups`` trades grouping overhead against divergence reduction; the
-    cost of grouping itself is charged by the caller (one sequential pass).
-    """
-    workloads = np.asarray(workloads, dtype=np.float64)
-    if n_groups <= 0:
-        raise ValueError("n_groups must be positive")
-    if workloads.shape[0] == 0:
-        return wavefront_divergence(workloads, width), np.empty(0, dtype=np.int64)
-
-    # Stable sort by quantised workload keeps the permutation cheap to apply
-    # and mirrors "group the input data according to the amount of workload".
-    lo, hi = float(workloads.min()), float(workloads.max())
-    if hi <= lo:
-        order = np.arange(workloads.shape[0], dtype=np.int64)
-    else:
-        bins = np.minimum(
-            ((workloads - lo) / (hi - lo) * n_groups).astype(np.int64), n_groups - 1
-        )
-        order = np.argsort(bins, kind="stable").astype(np.int64)
-    report = wavefront_divergence(workloads[order], width)
-    return report, order
-

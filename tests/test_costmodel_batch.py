@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.executor import PhaseTiming, StepTiming
 from repro.costmodel import (
     CostModelError,
     EstimateCache,
@@ -25,8 +26,10 @@ from repro.costmodel import (
     ratio_grid,
     run_monte_carlo,
     steps_fingerprint,
+    total_elapsed,
 )
 from repro.costmodel.batch import batch_totals
+from repro.hardware.workstats import TimeBreakdown
 
 SETTINGS = settings(
     max_examples=40,
@@ -95,6 +98,29 @@ class TestBatchEquivalence:
         assert np.all(batch.gpu_delay_s == 0.0)
         assert np.all(batch.intermediate_bytes == 0.0)
         assert_rows_match_scalar(steps, matrix)
+
+    def test_sums_are_left_folds_on_every_python(self):
+        """Ten steps of 0.1 s add up to 0.9999999999999999 left to right,
+        as the kernel's cumulative sums add them.  CPython 3.12's compensated
+        ``sum()`` reads 1.0, so the scalar reference must not use it."""
+        steps = [StepCost(f"s{i}", 1, cpu_unit_s=0.1, gpu_unit_s=0.1) for i in range(10)]
+        ratios = [1.0] * 10
+        left_to_right = 0.9999999999999999
+        scalar = estimate_series(steps, ratios)
+        assert scalar.total_s == left_to_right
+        assert total_elapsed({"phase": scalar}) == left_to_right
+        assert estimate_series_batch(steps, [ratios]).total_s[0] == left_to_right
+        assert batch_totals(steps, [ratios])[0] == left_to_right
+        idle = TimeBreakdown()
+        timing = PhaseTiming(
+            phase="build",
+            ratios=ratios,
+            steps=[
+                StepTiming(f"s{i}", 1.0, TimeBreakdown(compute_s=0.1), idle, 1, 0)
+                for i in range(10)
+            ],
+        )
+        assert timing.compute_s == left_to_right
 
     def test_single_vector_promoted_to_one_row(self):
         steps = random_steps(np.random.default_rng(1), 4)

@@ -17,7 +17,6 @@ from repro.hashjoin import (
     RESULT_PAIR_BYTES,
     ExternalHashJoin,
     SimpleHashJoin,
-    SuperPartitionOverflowError,
     plan_partitioning,
     plan_super_partitions,
     vectorized_reference_join,
@@ -56,13 +55,6 @@ class TestPlanSuperPartitions:
         parts = plan_super_partitions(build, probe, machine)
         assert parts == 1 << MAX_SUPER_PARTITION_BITS
 
-    def test_overflow_raises_structured_error_when_clamp_disabled(self):
-        build, probe, machine = self._past_ceiling_inputs()
-        with pytest.raises(SuperPartitionOverflowError) as excinfo:
-            plan_super_partitions(build, probe, machine, clamp=False)
-        assert excinfo.value.needed_bits > excinfo.value.max_bits
-        assert excinfo.value.max_bits == MAX_SUPER_PARTITION_BITS
-
     def test_fan_out_at_ceiling_does_not_raise(self):
         workload = JoinWorkload.uniform(4_000, 4_000, seed=1)
         pair_bytes = workload.build.nbytes + workload.probe.nbytes
@@ -71,9 +63,7 @@ class TestPlanSuperPartitions:
             1, int(np.ceil(pair_bytes * 2.0 / (1 << MAX_SUPER_PARTITION_BITS)))
         )
         machine = small_buffer_machine(buffer_bytes=buffer_bytes)
-        parts = plan_super_partitions(
-            workload.build, workload.probe, machine, clamp=False
-        )
+        parts = plan_super_partitions(workload.build, workload.probe, machine)
         assert parts <= 1 << MAX_SUPER_PARTITION_BITS
 
 

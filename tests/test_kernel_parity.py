@@ -10,12 +10,14 @@ predecessor as a togglable reference path, and this suite pins the two at
 * ``partition_pairs`` / ``pair_table`` — the buckets every pair table takes
   from the hashes carried through partitioning equal the buckets ``bucket_of``
   computes from the pair's keys, and only partitions that hold a tuple are
-  sliced.
+  sliced or take memory.
 * ``concat_step_series`` — the scalar-collapse rules: all-NaN scalars
   collapse instead of silently broadcasting (regression).
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from repro.hashjoin import (
     final_partition_ids,
     pair_table,
     partition_pairs,
+    vectorized_reference_join,
 )
 from repro.hashjoin.hashtable import HashTableError
 from repro.hashjoin.steps import PerTupleWork, StepExecution, StepSeries, step_by_name
@@ -244,6 +247,24 @@ class TestPartitionParity:
             workload.build, workload.probe
         )
         assert len(slices) <= 2 * len(pairs)
+
+    def test_split_memory_follows_the_tuples_not_the_partition_count(self):
+        # A 24-bit plan has 16,777,216 partitions.  Counting tuples per
+        # possible partition (int64 histograms and their prefix sums) peaked
+        # at 385 MiB for 1k x 1k tuples; reading the occupied partitions off
+        # each side's sorted ids peaks at about 8 MiB.
+        workload = JoinWorkload.uniform(1_000, 1_000, seed=1)
+        join = PartitionedHashJoin(
+            partition_config=PartitionConfig(bits_per_pass=8, n_passes=3)
+        )
+        tracemalloc.start()
+        try:
+            run = join.run(workload.build, workload.probe)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert run.result.equals(vectorized_reference_join(workload.build, workload.probe))
 
     def test_partition_sizes_bincount(self):
         workload = JoinWorkload.uniform(1_000, 1_000, seed=3)

@@ -20,7 +20,6 @@ from repro.opencl import (
     LatchTable,
     concurrent_hardware_threads,
     contention_ratio,
-    grouped_divergence,
     make_allocator,
     wavefront_divergence,
 )
@@ -84,14 +83,6 @@ class TestWavefrontDivergence:
         workloads[0] = 64.0
         report = wavefront_divergence(workloads)
         assert report.divergence > 0.9
-
-    def test_grouping_reduces_divergence(self):
-        rng = np.random.default_rng(1)
-        workloads = rng.choice([1.0, 50.0], size=4096, p=[0.9, 0.1])
-        ungrouped = wavefront_divergence(workloads).divergence
-        grouped, order = grouped_divergence(workloads, n_groups=32)
-        assert grouped.divergence < ungrouped
-        assert sorted(order.tolist()) == list(range(4096))
 
     def test_empty_input(self):
         assert wavefront_divergence(np.array([])).divergence == 0.0

@@ -4,12 +4,11 @@ The per-pair joins of a radix-partitioned hash join are independent, so a
 process pool may execute them — but only as a *bit-matched* twin of the
 serial loop: identical join result, identical step series, identical
 allocator counters (the workers' private-allocator deltas are folded back in
-pair order).  This suite pins that parity for ``PartitionedHashJoin``,
-``CoarseGrainedPHJ`` and ``ExternalHashJoin`` (whose parallel pair tasks
-record accounting events that the driver replays in pair order, making even
-the float breakdown bit-identical), exercises the pool plumbing in-process
-for coverage, and drives the robustness paths: dynamic spilling, recursive
-re-partitioning and role reversal under adversarial skew.
+pair order).  This suite pins that parity for ``PartitionedHashJoin`` and
+``CoarseGrainedPHJ``, exercises the pool plumbing in-process for coverage,
+and drives the robustness paths of the serial ``ExternalHashJoin``: dynamic
+spilling, recursive re-partitioning and role reversal under adversarial
+skew.
 """
 
 from __future__ import annotations
@@ -351,55 +350,6 @@ def simple_pair_joiner(build: Relation, probe: Relation):
     return (len(build) + len(probe)) * 1e-9, vectorized_reference_join(build, probe)
 
 
-class TestExternalParallelParity:
-    def test_breakdown_and_result_bit_identical(self):
-        build, probe = relation_pair(11, 20_000, 20_000, 8000)
-        expected = vectorized_reference_join(build, probe)
-
-        machine = small_buffer_machine(32 * 1024)
-        serial = ExternalHashJoin(
-            simple_pair_joiner, machine=machine, chunk_tuples=5000, parallel=False
-        ).run(build, probe)
-        serial_copied = machine.memory.copied_bytes
-
-        machine.memory.reset()
-        pooled = ExternalHashJoin(
-            simple_pair_joiner,
-            machine=machine,
-            chunk_tuples=5000,
-            parallel=True,
-            n_workers=4,
-        ).run(build, probe)
-
-        assert serial.result.equals(expected)
-        assert pooled.result.equals(expected)
-        # Events replay in pair order, so even float accumulation matches.
-        assert serial.breakdown.as_dict() == pooled.breakdown.as_dict()
-        assert machine.memory.copied_bytes == serial_copied
-        assert serial.stats == pooled.stats
-
-    def test_single_pair_stays_serial(self):
-        build, probe = relation_pair(12, 500, 500, 100)
-        external = ExternalHashJoin(
-            simple_pair_joiner, machine=small_buffer_machine(), parallel=True
-        )
-        run = external.run(build, probe)
-        assert run.fits_in_buffer
-        assert run.result.equals(vectorized_reference_join(build, probe))
-
-    def test_default_worker_count_path(self):
-        build, probe = relation_pair(13, 6000, 6000, 2000)
-        external = ExternalHashJoin(
-            simple_pair_joiner,
-            machine=small_buffer_machine(32 * 1024),
-            chunk_tuples=2000,
-            parallel=True,  # n_workers defaults from the CPU count
-        )
-        run = external.run(build, probe)
-        assert not run.fits_in_buffer
-        assert run.result.equals(vectorized_reference_join(build, probe))
-
-
 # ---------------------------------------------------------------------------
 # Robustness: spilling, recursion, role reversal under adversarial skew
 # ---------------------------------------------------------------------------
@@ -482,19 +432,6 @@ class TestRobustness:
         assert run.stats.recursive_splits == 0
         assert run.stats.max_pair_depth == 0
         assert run.result.equals(vectorized_reference_join(build, probe))
-
-    def test_role_reversal_can_be_disabled(self):
-        build = Relation.from_keys(np.full(6000, 3, dtype=np.int64), name="R")
-        probe = Relation.from_keys(np.full(300, 3, dtype=np.int64), name="S")
-        external = ExternalHashJoin(
-            simple_pair_joiner,
-            machine=small_buffer_machine(16 * 1024),
-            chunk_tuples=5000,
-            role_reversal=False,
-        )
-        run = external.run(build, probe)
-        assert run.stats.role_reversals == 0
-        assert run.result.match_count == 6000 * 300
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):

@@ -38,7 +38,6 @@ from repro.opencl import (
     Arena,
     BlockAllocator,
     contention_ratio,
-    grouped_divergence,
     make_allocator,
     wavefront_divergence,
 )
@@ -173,20 +172,13 @@ JOIN_OPERATORS = {
     "external": lambda: ExternalHashJoin(
         _simple_pair_joiner, machine=small_buffer_machine(2 * 1024), chunk_tuples=64
     ),
-    "external-parallel": lambda: ExternalHashJoin(
-        _simple_pair_joiner,
-        machine=small_buffer_machine(2 * 1024),
-        chunk_tuples=64,
-        parallel=True,
-        n_workers=2,
-    ),
 }
 
 
 class TestJoinOracle:
     """Every operator against the independent oracles on degenerate keys."""
 
-    # Seven operators per example: about 5 s on 2 vCPUs.
+    # Six operators per example: about 5 s on 2 vCPUs.
     @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(degenerate_key_pairs())
     def test_every_operator_matches_the_oracle(self, key_pair):
@@ -372,15 +364,6 @@ class TestDivergenceProperties:
         report = wavefront_divergence(np.asarray(workloads), width=width)
         assert 0.0 <= report.divergence <= 1.0
         assert report.lockstep_work >= report.useful_work - 1e-9
-
-    @SETTINGS
-    @given(st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=1, max_size=500))
-    def test_grouping_never_increases_divergence(self, workloads):
-        array = np.asarray(workloads)
-        ungrouped = wavefront_divergence(array).divergence
-        grouped, order = grouped_divergence(array, n_groups=16)
-        assert grouped.divergence <= ungrouped + 1e-9
-        assert sorted(order.tolist()) == list(range(len(workloads)))
 
 
 class TestContentionProperties:

@@ -1,4 +1,4 @@
-"""Tests for step accounting, the grouping decision helper and join results."""
+"""Tests for step accounting and join results."""
 
 from __future__ import annotations
 
@@ -17,10 +17,7 @@ from repro.hashjoin import (
     PARTITION_STEPS,
     PROBE_STEPS,
     PartitionedHashJoin,
-    evaluate_grouping,
-    evaluate_step_grouping,
     step_by_name,
-    tune_group_count,
 )
 from repro.hashjoin.steps import (
     STATS_MEMO_ENTRIES,
@@ -132,8 +129,6 @@ class TestPerTupleWork:
                 PerTupleWork(n_tuples=5, **{"instructions": 1.0, name: bad}).total_stats()
         with pytest.raises(ValueError, match=name):
             PerTupleWork(n_tuples=5, **{name: np.ones(6)}).stats_for_range(2, 2)
-        with pytest.raises(ValueError, match=name):
-            PerTupleWork(n_tuples=5, **{name: np.ones(4)}).workload_proxy()
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(uniform_works(), st.data(), st.booleans(),
@@ -211,43 +206,6 @@ class TestStepSeries:
         assert execution.conflict_for("gpu") == 0.6
         assert execution.conflict_for("cpu") == 0.1
         assert execution.conflict_for("npu") == 0.0
-
-
-class TestGroupingDecision:
-    def test_skewed_work_worth_grouping(self):
-        values = np.ones(4096)
-        values[::16] = 200.0
-        work = PerTupleWork(n_tuples=4096, instructions=values)
-        decision = evaluate_grouping(work)
-        assert decision.divergence_grouped < decision.divergence_ungrouped
-        assert decision.worthwhile
-
-    def test_uniform_work_not_worth_grouping(self):
-        work = PerTupleWork(n_tuples=1024, instructions=10.0)
-        decision = evaluate_grouping(work)
-        assert decision.divergence_reduction == pytest.approx(0.0)
-        assert not decision.worthwhile
-
-    def test_empty_work(self):
-        decision = evaluate_grouping(PerTupleWork(n_tuples=0))
-        assert decision.divergence_ungrouped == 0.0
-
-    def test_evaluate_step_grouping_wrapper(self):
-        execution = StepExecution(
-            step=step_by_name("p3"),
-            work=PerTupleWork(n_tuples=128, instructions=np.random.default_rng(0).exponential(10.0, 128)),
-        )
-        decision = evaluate_step_grouping(execution)
-        assert 0.0 <= decision.divergence_grouped <= decision.divergence_ungrouped + 1e-12
-
-    def test_tune_group_count_returns_candidate(self):
-        values = np.random.default_rng(1).exponential(5.0, 2048)
-        work = PerTupleWork(n_tuples=2048, instructions=values)
-        assert tune_group_count(work, candidates=(4, 32, 128)) in (4, 32, 128)
-
-    def test_invalid_group_count(self):
-        with pytest.raises(ValueError):
-            evaluate_grouping(PerTupleWork(n_tuples=4, instructions=1.0), n_groups=0)
 
 
 class TestJoinResult:
