@@ -1,4 +1,5 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for the model's design choices, whose calibration
+constants live in ``src/repro/hardware/specs.py``.
 
 These are not paper figures; they isolate individual ingredients of the
 reproduction's model and of the paper's design space to show that each one

@@ -6,9 +6,8 @@ forked workers:
 * **pool throughput** — 8 concurrent clients submitting 64 requests over 32
   distinct fingerprints must run at least 2x faster through ``--workers 4``
   than ``--workers 1`` on a >=4-core machine (the gate is skipped below 4
-  cores, like the parallel-join gate — 4 workers contending for fewer cores
-  measure the scheduler, not the pool; the measured numbers are recorded
-  either way);
+  cores — 4 workers contending for fewer cores measure the scheduler, not
+  the pool; the measured numbers are recorded either way);
 * **bit-identical serving** — every plan served by any pool size equals the
   direct library ``plan_many`` answer byte for byte.
 

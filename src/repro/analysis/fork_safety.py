@@ -1,8 +1,7 @@
 """Fork-safety checker: process-global resources must survive ``fork()``.
 
-PRs 7–8 made the repro genuinely multi-process: ``service/pool.py`` forks
-pre-fork workers with ``os.fork`` and ``hashjoin/parallel.py`` forks pair
-workers through a ``ProcessPoolExecutor``.  A forked child inherits a
+The serving tier makes the repro multi-process: ``service/pool.py`` forks
+pre-fork workers with ``os.fork``.  A forked child inherits a
 byte-copy of the parent — including every module-level lock (possibly held
 by a thread that did not survive the fork), every SQLite connection (which
 SQLite explicitly forbids using across a fork), every started thread handle
@@ -28,7 +27,8 @@ This cross-file pass enforces that contract over the repo graph:
      ``threading.Thread``, ``ProcessPoolExecutor``, ``asyncio`` loop
      constructors, ``np.random.default_rng`` — or from a *resource-owning
      class*, or module-level containers that functions fill with such
-     values (``_POOLS[key] = PairPool(...)``).
+     values (``conn = sqlite3.connect(path)`` then
+     ``_CONNECTIONS[path] = conn``).
    * *fork-hostile classes*: classes whose methods store a fork-hostile
      resource (SQLite connection, socket, thread, pool, loop, open file)
      on ``self`` — instances alive at fork time cross the boundary.  Locks

@@ -9,8 +9,8 @@ a dotted name used in one module resolves to in another.
 
 Module naming: a file's dotted module name is its lint-relative path with a
 leading ``src/`` stripped, ``/`` replaced by ``.``, and ``__init__``
-collapsed onto its package (``src/repro/hashjoin/parallel.py`` →
-``repro.hashjoin.parallel``).  Fixture projects built from bare relative
+collapsed onto its package (``src/repro/hashjoin/partition.py`` →
+``repro.hashjoin.partition``).  Fixture projects built from bare relative
 paths get the same treatment, so test fixtures exercise the identical
 resolution machinery.
 
@@ -150,7 +150,7 @@ class ModuleGraph:
 
     def _add_edge(self, info: ModuleInfo, target: str) -> None:
         # Record only project-internal edges; walk up the dotted chain so
-        # ``import repro.hashjoin.parallel`` links the leaf module.
+        # ``import repro.hashjoin.partition`` links the leaf module.
         name = target
         while name:
             if name in self.modules and name != info.name:

@@ -1,13 +1,15 @@
 """Kernel-parity contract checker (cross-file pass).
 
 The repro's performance story is "vectorized kernels, bit-matched against a
-scalar reference": every fast path ships behind a toggle keyword
-(``use_batch=``, ``use_bulk=``, ``use_kernels=``, ``fused=``,
-``parallel=``) whose ``False`` side is the slow, obviously-correct twin,
-and a parity test drives both sides and compares them exactly.  The contract this
-checker enforces is the *other* half of that bargain: a toggle without a
-parity test is a fast path nobody is comparing against its reference
-anymore.
+scalar reference": every fast path ships behind a toggle keyword whose
+``False`` side is the slow, obviously-correct twin, and a parity test drives
+both sides and compares them exactly.  Two toggles remain: ``use_batch=`` on
+the cost-model evaluator and optimisers, and ``fused=`` on the radix
+partition kernel.  The checker also recognises ``use_bulk=``,
+``use_kernels=`` and ``parallel=``, whose paths are gone, so none of them
+can come back without a parity test.  The contract this checker enforces
+is the *other* half of that bargain: a toggle without a parity test is a
+fast path nobody is comparing against its reference anymore.
 
 Mechanics:
 

@@ -108,14 +108,19 @@ class VariantConfig:
     #: ``None`` = shared table on the coupled machine, separate on discrete.
     shared_hash_table: bool | None = None
     ratio_delta: float = 0.02
-    #: Join PHJ partition pairs on the shared process pool (serial = reference).
+    #: Joins always run their partition pairs serially.  The field exists
+    #: only because ``bench/workloads.py`` passes ``parallel=False``; no other
+    #: value is accepted.
     parallel: bool = False
-    n_workers: int | None = None
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise JoinVariantError(
                 f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}"
+            )
+        if self.parallel:
+            raise JoinVariantError(
+                "partition pairs are joined serially; parallel must be False"
             )
 
     @property
@@ -163,8 +168,6 @@ class HashJoinVariant:
                 config=join_config,
                 partition_config=config.partition_config,
                 target_partition_tuples=config.target_partition_tuples,
-                parallel=config.parallel,
-                n_workers=config.n_workers,
             ).run(build, probe)
             series_list = [*run.partition_phase.series_per_pass, run.build_series, run.probe_series]
             result = run.result

@@ -22,6 +22,6 @@ def run_table1() -> ExperimentResult:
         result.add_row(**row)
     result.add_note(
         "The timing parameters of the simulator (latencies, bandwidths, atomic costs) "
-        "are calibration constants documented in DESIGN.md, not part of Table 1."
+        "are calibration constants documented in hardware/specs.py, not part of Table 1."
     )
     return result

@@ -1,9 +1,9 @@
 """Deterministic, seedable fault injection for the serving tier (ISSUE 10).
 
 The chaos suite needs failures that are *reproducible*: the same seed must
-kill the same worker after the same number of routed connections, reset
-the same replies and break the same process-pool chunk, run after run.
-This module is the single source of those failures:
+kill the same worker after the same number of routed connections and
+reset the same replies, run after run.  This module is the single source of
+those failures:
 
 * :class:`FaultSpec` — one scheduled fault: a *site* (a named hook threaded
   through the production code), an *action* (``raise`` an :class:`OSError`,
@@ -44,7 +44,6 @@ from __future__ import annotations
 import json
 import os
 import random
-import signal
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,7 +67,6 @@ __all__ = [
     "inject",
     "install_from_env",
     "install_plan",
-    "kill_self",
     "latency",
 ]
 
@@ -84,7 +82,6 @@ SITES = (
     "worker.start",  # worker serve loop: fires once at startup (crash-loop drills)
     "server.reply",  # per-connection writer: fires before each reply frame
     "scheduler.dispatch",  # micro-batch scheduler: fires per dispatched batch
-    "parallel.chunk",  # pair pool: fires as each chunk payload is submitted
 )
 
 #: What an armed spec does.  ``raise``/``latency`` are generic (handled by
@@ -111,8 +108,8 @@ class FaultSpec:
     """One scheduled fault.
 
     Trigger window: among the events at ``site`` whose context matches the
-    ``worker``/``chunk`` selectors, skip the first ``after`` and fire for
-    the next ``count``.  Counters live in the installed
+    ``worker`` selector, skip the first ``after`` and fire for the next
+    ``count``.  Counters live in the installed
     :class:`FaultInjector`, per process.
     """
 
@@ -121,7 +118,6 @@ class FaultSpec:
     after: int = 0
     count: int = 1
     worker: int | None = None
-    chunk: int | None = None
     latency_s: float = 0.0
     message: str = ""
 
@@ -136,12 +132,10 @@ class FaultSpec:
             isinstance(self.count, int) and self.count >= 1,
             "count must be a positive int",
         )
-        for name in ("worker", "chunk"):
-            value = getattr(self, name)
-            _require(
-                value is None or (isinstance(value, int) and value >= 0),
-                f"{name} selector must be a non-negative int",
-            )
+        _require(
+            self.worker is None or (isinstance(self.worker, int) and self.worker >= 0),
+            "worker selector must be a non-negative int",
+        )
         _require(
             isinstance(self.latency_s, (int, float))
             and self.latency_s >= 0.0
@@ -153,14 +147,10 @@ class FaultSpec:
             _require(self.latency_s > 0.0, "latency action requires latency_s > 0")
 
     def matches(self, ctx: Mapping[str, Any]) -> bool:
-        """Does this spec's selector accept the event context?  A selector
-        set on the spec but absent from the context does not match — call
-        sites always pass the selectors they support."""
-        for name in ("worker", "chunk"):
-            wanted = getattr(self, name)
-            if wanted is not None and ctx.get(name) != wanted:
-                return False
-        return True
+        """Does this spec's ``worker`` selector accept the event context?  A
+        selector set on the spec but absent from the context does not match —
+        call sites that support it always pass it."""
+        return self.worker is None or ctx.get("worker") == self.worker
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {"site": self.site, "action": self.action}
@@ -170,8 +160,6 @@ class FaultSpec:
             out["count"] = self.count
         if self.worker is not None:
             out["worker"] = self.worker
-        if self.chunk is not None:
-            out["chunk"] = self.chunk
         if self.latency_s:
             out["latency_s"] = self.latency_s
         if self.message:
@@ -188,7 +176,6 @@ class FaultSpec:
             "after",
             "count",
             "worker",
-            "chunk",
             "latency_s",
             "message",
         }
@@ -425,13 +412,6 @@ def latency(site: str, **ctx: Any) -> float:
         if spec.action == "latency":
             total += spec.latency_s
     return total
-
-
-def kill_self(payload: object = None) -> None:  # pragma: no cover - dies by SIGKILL
-    """Process-pool payload that SIGKILLs its own worker — the mechanism
-    behind ``parallel.chunk`` ``kill`` specs.  Module-level so it pickles
-    for :class:`~concurrent.futures.ProcessPoolExecutor` submission."""
-    os.kill(os.getpid(), signal.SIGKILL)
 
 
 def _reset_after_fork() -> None:

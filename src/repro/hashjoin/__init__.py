@@ -2,15 +2,14 @@
 
 PHJ (fine-grained steps per pair) and PHJ-PL' (one coarse step per pair)
 share one partition-pair path: :func:`partition_pairs` partitions both
-relations and carries the murmur hashes, :func:`pair_table` picks every pair
-table's buckets from them, and :func:`run_pairs` joins the pairs on the
-process pool when ``parallel=True``.  Divergence grouping (Section 3.3) has
-one model: ``HashJoinConfig(grouping=True)`` marks the skew-sensitive steps
-grouped, and :meth:`PerTupleWork.stats_for_range` sorts each such range
-before measuring its divergence.  :class:`ExternalHashJoin` joins the pairs
-of an out-of-buffer join one after another, always building on the smaller
-side.  The pool and the out-of-core join are documented in
-``docs/performance.md``.
+relations and carries the murmur hashes, and :func:`pair_table` picks every
+pair table's buckets from them; each operator then joins its pairs one after
+another.  Divergence grouping (Section 3.3) has one model:
+``HashJoinConfig(grouping=True)`` marks the skew-sensitive steps grouped, and
+:meth:`PerTupleWork.stats_for_range` sorts each such range before measuring
+its divergence.  :class:`ExternalHashJoin` joins the pairs of an
+out-of-buffer join one after another, always building on the smaller side.
+The out-of-core join is documented in ``docs/performance.md``.
 """
 
 from .coarse import PAIR_JOIN_STEP, CoarseGrainedPHJ, CoarsePHJRun, join_pair_coarse
@@ -44,7 +43,6 @@ from .murmur import (
     radix_of,
     radix_span_of,
 )
-from .parallel import PairPool, run_pairs, shared_pair_pool, split_balanced
 from .partition import (
     MAX_RADIX_BITS,
     PartitionConfig,
@@ -118,7 +116,6 @@ __all__ = [
     "PROBE_STEPS",
     "PartitionConfig",
     "PartitionError",
-    "PairPool",
     "PartitionSet",
     "PartitionedHashJoin",
     "PerTupleWork",
@@ -152,9 +149,6 @@ __all__ = [
     "radix_of",
     "radix_span_of",
     "reference_join",
-    "run_pairs",
-    "shared_pair_pool",
-    "split_balanced",
     "step_by_name",
     "vectorized_reference_join",
 ]

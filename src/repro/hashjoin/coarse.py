@@ -32,7 +32,6 @@ from .hashtable import (
     RID_NODE_BYTES,
 )
 from .murmur import MURMUR_INSTRUCTIONS_PER_KEY
-from .parallel import run_pairs
 from .partition import PartitionConfig, pair_table, partition_pairs, plan_partitioning
 from .result import JoinResult
 from .simple import HashJoinConfig
@@ -73,9 +72,6 @@ def join_pair_coarse(
 
     Returns ``((instructions, random accesses, sequential bytes, atomics),
     result, table bytes)`` — the per-pair scalars of the pair-join step.
-    Like :func:`repro.hashjoin.partition.join_partition_pair`, the outcome
-    depends only on the pair and the allocator configuration, so serial and
-    process-pool execution are bit-identical.
     """
     table, build_buckets, probe_buckets = pair_table(
         build_hashes, probe_hashes, config, allocator
@@ -122,15 +118,11 @@ class CoarseGrainedPHJ:
         config: HashJoinConfig | None = None,
         partition_config: PartitionConfig | None = None,
         target_partition_tuples: int = 64_000,
-        parallel: bool = False,
-        n_workers: int | None = None,
     ) -> None:
         # Separate per-pair tables are inherent to this variant.
         self.config = replace(config or HashJoinConfig(), shared_hash_table=False)
         self.partition_config = partition_config
         self.target_partition_tuples = target_partition_tuples
-        self.parallel = parallel
-        self.n_workers = n_workers
 
     def run(self, build: Relation, probe: Relation) -> CoarsePHJRun:
         partition_config = self.partition_config or plan_partitioning(
@@ -139,12 +131,7 @@ class CoarseGrainedPHJ:
         partition_phase, pairs, allocator = partition_pairs(
             build, probe, partition_config, self.config
         )
-        if self.parallel and len(pairs) > 1:
-            outcomes = run_pairs(
-                join_pair_coarse, pairs, self.config, allocator, n_workers=self.n_workers
-            )
-        else:
-            outcomes = [join_pair_coarse(*pair, self.config, allocator) for pair in pairs]
+        outcomes = [join_pair_coarse(*pair, self.config, allocator) for pair in pairs]
 
         per_pair_instructions: list[float] = []
         per_pair_random: list[float] = []

@@ -26,7 +26,6 @@ from .murmur import (
     radix_of,
     radix_span_of,
 )
-from .parallel import run_pairs
 from .result import JoinResult
 from .simple import HashJoinConfig, arena_capacity_for, execute_build, execute_probe
 from .steps import (
@@ -126,11 +125,6 @@ class PartitionSet:
     @property
     def n_partitions(self) -> int:
         return self.config.n_partitions
-
-    def partition_sizes(self) -> np.ndarray:
-        return np.bincount(self.partition_ids, minlength=self.n_partitions).astype(
-            np.int64
-        )
 
     def partitions_with_hashes(self) -> dict[int, tuple[Relation, np.ndarray]]:
         """(partition relation, its slice of the carried hashes) under each
@@ -512,11 +506,7 @@ def join_partition_pair(
 ) -> tuple[StepSeries, StepSeries, JoinResult, int]:
     """Join one partition pair with the fine-grained SHJ steps.
 
-    Returns ``(build series, probe series, result, table bytes)``.  The body
-    only depends on the pair's tuples and the allocator *configuration* (the
-    bulk paths bump the arena and add to counters without reading history),
-    so the serial shared-allocator loop and the process-pool workers with
-    private allocators produce bit-identical outcomes.
+    Returns ``(build series, probe series, result, table bytes)``.
     """
     table, build_buckets, probe_buckets = pair_table(
         build_hashes, probe_hashes, config, allocator
@@ -534,17 +524,10 @@ class PartitionedHashJoin:
         config: HashJoinConfig | None = None,
         partition_config: PartitionConfig | None = None,
         target_partition_tuples: int = 64_000,
-        parallel: bool = False,
-        n_workers: int | None = None,
     ) -> None:
-        """``parallel=True`` joins the independent partition pairs on the
-        shared process pool (``n_workers`` processes); ``parallel=False``
-        keeps the serial per-pair loop as the bit-matched reference."""
         self.config = config or HashJoinConfig()
         self.partition_config = partition_config
         self.target_partition_tuples = target_partition_tuples
-        self.parallel = parallel
-        self.n_workers = n_workers
 
     def run(self, build: Relation, probe: Relation) -> PHJRun:
         partition_config = self.partition_config or plan_partitioning(
@@ -559,12 +542,7 @@ class PartitionedHashJoin:
             no_hashes = np.empty(0, dtype=np.uint64)
             pairs = [(build, probe, no_hashes, no_hashes)]
 
-        if self.parallel and len(pairs) > 1:
-            outcomes = run_pairs(
-                join_partition_pair, pairs, self.config, allocator, n_workers=self.n_workers
-            )
-        else:
-            outcomes = [join_partition_pair(*pair, self.config, allocator) for pair in pairs]
+        outcomes = [join_partition_pair(*pair, self.config, allocator) for pair in pairs]
 
         build_series_per_pair: list[StepSeries] = []
         probe_series_per_pair: list[StepSeries] = []

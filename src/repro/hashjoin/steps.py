@@ -34,10 +34,6 @@ from ..opencl.wavefront import (
     wavefront_divergence,
 )
 
-#: Most :class:`WorkStats` one :class:`PerTupleWork` memoises.  A Monte
-#: Carlo step on the 0.02 ratio grid needs about 102 (51 cuts x 2 sides).
-STATS_MEMO_ENTRIES = 256
-
 BUILD_PHASE = "build"
 PROBE_PHASE = "probe"
 PARTITION_PHASE = "partition"
@@ -122,17 +118,11 @@ class PerTupleWork:
     of length ``n_tuples`` (workload-dependent work, e.g. key-list traversal
     lengths in ``b3``/``p3``).
 
-    The workload proxy is memoised after its first use, and so is every
-    :class:`WorkStats` that :meth:`stats_for_range` returns, keyed by the
-    clamped ``(start, stop, conflict_ratio, wavefront_width, grouped)``.
-    Executors, calibration and Monte Carlo studies revisit the same ranges
-    (ratios on the optimiser's delta grid cut each step at a few dozen
-    points), so a repeat is a dictionary lookup; ``WorkStats`` is frozen, so
-    callers share one instance.  The memo keeps at most
-    :data:`STATS_MEMO_ENTRIES` entries and evicts the oldest first.  The
-    quantities must therefore not be mutated in place after the first stats
-    call — build a new instance (or ``dataclasses.replace``) instead, which
-    starts with fresh caches.
+    The workload proxy is computed on the first stats call and cached, since
+    every range :meth:`stats_for_range` measures slices it.  The quantities
+    must therefore not be mutated in place after the first stats call —
+    build a new instance (or ``dataclasses.replace``) instead, which starts
+    with a fresh cache.
     """
 
     n_tuples: int
@@ -146,7 +136,6 @@ class PerTupleWork:
         if self.n_tuples < 0:
             raise ValueError("n_tuples must be non-negative")
         self._proxy_cache: np.ndarray | float | None = None
-        self._stats_memo: dict[tuple[int, int, float, int, bool], WorkStats] = {}
 
     # ------------------------------------------------------------------
     def _check_lengths(self) -> None:
@@ -196,10 +185,6 @@ class PerTupleWork:
         n = max(stop - start, 0)
         if n == 0:
             return WorkStats()
-        key = (start, stop, conflict_ratio, wavefront_width, grouped)
-        stats = self._stats_memo.get(key)
-        if stats is not None:
-            return stats
         if isinstance(proxy, float):
             # Sorting a constant range changes nothing, so grouping is moot.
             divergence = uniform_divergence(proxy, n, wavefront_width)
@@ -208,7 +193,7 @@ class PerTupleWork:
             if grouped:
                 window = np.sort(window)
             divergence = wavefront_divergence(window, width=wavefront_width).divergence
-        stats = WorkStats(
+        return WorkStats(
             tuples=n,
             instructions=_range_sum(self.instructions, start, stop),
             sequential_bytes=_range_sum(self.sequential_bytes, start, stop),
@@ -218,10 +203,6 @@ class PerTupleWork:
             divergence=divergence,
             atomic_conflict_ratio=conflict_ratio,
         )
-        if len(self._stats_memo) >= STATS_MEMO_ENTRIES:
-            del self._stats_memo[next(iter(self._stats_memo))]  # oldest first
-        self._stats_memo[key] = stats
-        return stats
 
     def total_stats(
         self,

@@ -38,16 +38,6 @@ class AllocatorStats:
     local_atomics: int = 0
     blocks_grabbed: int = 0
 
-    def merge(self, other: "AllocatorStats") -> "AllocatorStats":
-        return AllocatorStats(
-            requests=self.requests + other.requests,
-            allocated_bytes=self.allocated_bytes + other.allocated_bytes,
-            wasted_bytes=self.wasted_bytes + other.wasted_bytes,
-            global_atomics=self.global_atomics + other.global_atomics,
-            local_atomics=self.local_atomics + other.local_atomics,
-            blocks_grabbed=self.blocks_grabbed + other.blocks_grabbed,
-        )
-
 
 class Arena:
     """A pre-allocated byte arena shared by all work groups.
@@ -81,23 +71,6 @@ class Arena:
         self.used_bytes += int(nbytes)
         self.global_atomics += 1
         return previous
-
-    def absorb(self, nbytes: int, n_bumps: int) -> None:
-        """Replay ``n_bumps`` pointer advances totalling ``nbytes`` at once.
-
-        Used when partition pairs were joined by workers with private arenas:
-        the driver arena absorbs each worker's usage with one capacity-checked
-        advance whose atomic-op count equals the individual bumps it stands
-        for, so the merged counters match the serial shared-arena run exactly.
-        """
-        if n_bumps < 0:
-            raise ValueError("n_bumps must be non-negative")
-        if n_bumps == 0:
-            if nbytes:
-                raise ValueError("cannot absorb bytes without any bumps")
-            return
-        self.bump(nbytes)
-        self.global_atomics += n_bumps - 1
 
     def reset(self) -> None:
         self.used_bytes = 0
@@ -158,19 +131,6 @@ class MemoryAllocator:
         threads = concurrent_hardware_threads(device_kind)
         access_probability = min(1.0, work_fraction_in_atomic * global_per_request)
         return contention_ratio(threads, 1.0, access_probability)
-
-    def absorb(self, stats: AllocatorStats, arena_bytes: int, arena_bumps: int) -> None:
-        """Fold a worker allocator's effects into this one.
-
-        ``stats`` are the worker's counters (all additive), ``arena_bytes`` /
-        ``arena_bumps`` its arena usage.  The bulk allocation paths depend
-        only on the allocator *configuration*, never on its history, so pairs
-        joined against private worker allocators produce the same step series
-        as against the shared one — absorbing the deltas in pair order makes
-        the driver's counters bit-identical to the serial run too.
-        """
-        self.stats = self.stats.merge(stats)
-        self.arena.absorb(arena_bytes, arena_bumps)
 
     def reset(self) -> None:
         self.stats = AllocatorStats()

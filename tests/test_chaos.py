@@ -1,9 +1,9 @@
 """Chaos suite: end-to-end failure recovery under injected faults (ISSUE 10).
 
 Every test here runs a *deterministic* drill from ``repro.faults``: seeded
-random schedules against thread-mode pools, SIGKILLed forked workers behind
-``repro serve`` subprocesses and process-pool workers dying mid-chunk.  The invariants are always the
-same three:
+random schedules against thread-mode pools and SIGKILLed forked workers
+behind ``repro serve`` subprocesses.  The invariants are always the same
+three:
 
 * **exactly one reply per request** — retried requests are neither lost nor
   duplicated in the client's result set;
@@ -32,8 +32,6 @@ import pytest
 import repro
 from repro import faults
 from repro.faults import FaultPlan, FaultSpec
-from repro.hashjoin import PartitionedHashJoin
-from repro.hashjoin.parallel import shared_pair_pool
 from repro.service import (
     PlanService,
     PoolConfig,
@@ -44,7 +42,6 @@ from repro.service import (
 )
 
 from test_pool import assert_plans_identical, mixed_requests, run_pool
-from test_parallel_join import assert_series_lists_equal, relation_pair
 
 #: The acceptance criterion asks for >= 20 seeded schedules.
 CHAOS_SEEDS = tuple(range(1000, 1021))
@@ -313,40 +310,3 @@ class TestForkedWorkerFailover:
                 proc.kill()
                 proc.communicate()
         assert proc.returncode == 0, f"serve exited {proc.returncode}: {err}"
-
-
-# ---------------------------------------------------------------------------
-# Parallel join: a pool worker SIGKILLed mid-chunk
-# ---------------------------------------------------------------------------
-@pytest.mark.skipif(
-    not hasattr(os, "fork"), reason="process-pool chaos needs POSIX fork"
-)
-class TestParallelJoinChaos:
-    def test_sigkilled_pool_worker_recovers_bit_identical(self):
-        build, probe = relation_pair(5, 4000, 8000, 1000)
-        serial = PartitionedHashJoin(
-            target_partition_tuples=500, parallel=False
-        ).run(build, probe)
-        pool = shared_pair_pool(2)
-        breaks_before = pool.pool_breaks
-        plan = FaultPlan(
-            faults=(FaultSpec(site="parallel.chunk", action="kill", chunk=0),)
-        )
-        with faults.inject(plan):
-            pooled = PartitionedHashJoin(
-                target_partition_tuples=500, parallel=True, n_workers=2
-            ).run(build, probe)
-        # The lost chunks re-ran serially: bit-identical result and series.
-        assert serial.result.equals(pooled.result)
-        assert_series_lists_equal(serial.step_series, pooled.step_series)
-        assert pool.pool_breaks == breaks_before + 1
-        assert pool.chunks_recovered >= 1
-
-        # The broken executor was invalidated, not cached: the next join
-        # rebuilds a healthy pool and stays bit-identical.
-        again = PartitionedHashJoin(
-            target_partition_tuples=500, parallel=True, n_workers=2
-        ).run(build, probe)
-        assert serial.result.equals(again.result)
-        assert_series_lists_equal(serial.step_series, again.step_series)
-        assert pool.pool_breaks == breaks_before + 1  # no new breaks

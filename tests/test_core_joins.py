@@ -82,6 +82,18 @@ class TestRunJoin:
         with pytest.raises(JoinVariantError):
             run_join("SMJ", "PL", workload.build, workload.probe)
 
+    def test_serial_pair_flag_is_accepted_and_parallel_rejected(self, workload):
+        """``bench/workloads.py`` passes ``parallel=False``; joins run their
+        partition pairs serially, so ``parallel=True`` is refused."""
+        timing = run_join("PHJ", "PL", workload.build, workload.probe,
+                          machine=coupled_machine(), parallel=False)
+        assert timing.result.equals(
+            vectorized_reference_join(workload.build, workload.probe)
+        )
+        with pytest.raises(JoinVariantError):
+            run_join("PHJ", "PL", workload.build, workload.probe,
+                     machine=coupled_machine(), parallel=True)
+
     def test_run_all_variants_keys(self, workload):
         out = run_all_variants(
             workload.build, workload.probe,

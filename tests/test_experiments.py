@@ -125,16 +125,17 @@ class TestModelValidation:
             assert row["elapsed_s"] <= row["best_random_s"] * 1.3
 
     def test_fig09_rows_equal_a_memo_free_reference(self, monkeypatch):
-        """The per-range WorkStats memo leaves every fig09 row bit-identical
-        to a run that computes each range's stats on a fresh work copy."""
-        memoised = run_fig09(build_tuples=5_000, n_samples=100).rows
+        """The cached workload proxy leaves every fig09 row bit-identical
+        to a run that computes each range's stats on a fresh work copy,
+        whose proxy cache starts empty."""
+        cached = run_fig09(build_tuples=5_000, n_samples=100).rows
         stats_for_range = PerTupleWork.stats_for_range
 
         def on_fresh_copy(self, *args, **kwargs):
             return stats_for_range(dataclasses.replace(self), *args, **kwargs)
 
         monkeypatch.setattr(PerTupleWork, "stats_for_range", on_fresh_copy)
-        assert run_fig09(build_tuples=5_000, n_samples=100).rows == memoised
+        assert run_fig09(build_tuples=5_000, n_samples=100).rows == cached
 
     def test_fig09_rows_equal_a_per_row_execute_series_loop(self, monkeypatch):
         """Measuring each Monte Carlo matrix on the ratio grid leaves every

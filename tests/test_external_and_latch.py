@@ -204,6 +204,98 @@ class TestExternalSkewParity:
         assert run.result.equals(self._simple_join_result(build, probe))
 
 
+class TestRobustness:
+    """Spilling, recursion and role reversal under adversarial skew, each
+    within the simulated buffer budget."""
+
+    def test_all_duplicate_keys_spill_within_budget(self):
+        """A single heavy-hitter key defeats re-partitioning entirely: the
+        pair must spill (streamed against the resident smaller side, roles
+        reversed) and still produce the exact cross product."""
+        buffer_bytes = 16 * 1024
+        build = Relation.from_keys(np.full(8000, 42, dtype=np.int64), name="R")
+        probe = Relation.from_keys(np.full(900, 42, dtype=np.int64), name="S")
+        external = ExternalHashJoin(
+            simple_pair_joiner,
+            machine=small_buffer_machine(buffer_bytes),
+            chunk_tuples=5000,
+        )
+        run = external.run(build, probe)
+        assert run.result.equals(vectorized_reference_join(build, probe))
+        assert run.result.match_count == 8000 * 900
+        assert run.stats.spilled_pairs >= 1
+        assert run.stats.role_reversals >= 1
+        assert run.stats.max_in_buffer_bytes * external.overhead_factor <= buffer_bytes
+
+    def test_block_nested_loop_when_both_sides_overflow(self):
+        buffer_bytes = 4 * 1024
+        build = Relation.from_keys(np.full(4000, 7, dtype=np.int64), name="R")
+        probe = Relation.from_keys(np.full(4000, 7, dtype=np.int64), name="S")
+        external = ExternalHashJoin(
+            simple_pair_joiner,
+            machine=small_buffer_machine(buffer_bytes),
+            chunk_tuples=2000,
+        )
+        run = external.run(build, probe)
+        assert run.result.match_count == 4000 * 4000
+        assert run.stats.spilled_pairs >= 1
+        assert run.stats.max_in_buffer_bytes * external.overhead_factor <= buffer_bytes
+
+    def test_heavy_hitter_mix_recurses_then_finishes(self):
+        """Zipfian-style mix: recursion peels the uniform partitions level by
+        level (fresh seed each level) until only the irreducible heavy-hitter
+        pair is left to spill — all within the simulated budget."""
+        rng = np.random.default_rng(21)
+        keys = np.concatenate(
+            [
+                np.full(3000, 7, dtype=np.int64),
+                rng.integers(0, 100_000, 40_000, dtype=np.int64),
+            ]
+        )
+        build = Relation.from_keys(keys, name="R")
+        probe = Relation.from_keys(rng.permutation(keys), name="S")
+        buffer_bytes = 64 * 1024
+        external = ExternalHashJoin(
+            simple_pair_joiner,
+            machine=small_buffer_machine(buffer_bytes),
+            chunk_tuples=5000,
+        )
+        run = external.run(build, probe)
+        assert run.result.equals(vectorized_reference_join(build, probe))
+        assert run.stats.recursive_splits >= 1
+        assert run.stats.max_pair_depth >= 1
+        assert run.stats.max_pair_depth <= external.max_recursion_depth
+        assert run.stats.max_in_buffer_bytes * external.overhead_factor <= buffer_bytes
+
+    def test_recursion_depth_budget_is_respected(self):
+        rng = np.random.default_rng(22)
+        build = Relation.from_keys(
+            rng.integers(0, 100_000, 40_000, dtype=np.int64), name="R"
+        )
+        probe = Relation.from_keys(
+            rng.integers(0, 100_000, 40_000, dtype=np.int64), name="S"
+        )
+        external = ExternalHashJoin(
+            simple_pair_joiner,
+            machine=small_buffer_machine(8 * 1024),
+            chunk_tuples=5000,
+            max_recursion_depth=0,
+        )
+        run = external.run(build, probe)
+        # With no recursion allowed, every oversized pair spills directly.
+        assert run.stats.recursive_splits == 0
+        assert run.stats.max_pair_depth == 0
+        assert run.result.equals(vectorized_reference_join(build, probe))
+
+    def test_constructor_validation(self):
+        with pytest.raises(ValueError):
+            ExternalHashJoin(simple_pair_joiner, chunk_tuples=0)
+        with pytest.raises(ValueError):
+            ExternalHashJoin(simple_pair_joiner, overhead_factor=0.5)
+        with pytest.raises(ValueError):
+            ExternalHashJoin(simple_pair_joiner, max_recursion_depth=-1)
+
+
 class TestLatchModel:
     def test_effective_targets_uniform_is_array_size(self):
         assert effective_targets(1_000, 0.0) == 1_000

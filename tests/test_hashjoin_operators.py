@@ -135,8 +135,8 @@ class TestPartitionedHashJoin:
         run = PartitionedHashJoin(target_partition_tuples=500).run(
             small_workload.build, small_workload.probe
         )
-        build_sizes = run.partition_phase.build_partitions.partition_sizes()
-        probe_sizes = run.partition_phase.probe_partitions.partition_sizes()
+        build_sizes = np.bincount(run.partition_phase.build_partitions.partition_ids)
+        probe_sizes = np.bincount(run.partition_phase.probe_partitions.partition_ids)
         assert build_sizes.sum() == small_workload.build_tuples
         assert probe_sizes.sum() == small_workload.probe_tuples
 

@@ -266,19 +266,6 @@ class TestPartitionParity:
         assert peak < 64 * 2**20
         assert run.result.equals(vectorized_reference_join(workload.build, workload.probe))
 
-    def test_partition_sizes_bincount(self):
-        workload = JoinWorkload.uniform(1_000, 1_000, seed=3)
-        config = PartitionConfig(bits_per_pass=4, n_passes=1)
-        ids = final_partition_ids(workload.build.keys, config)
-        from repro.hashjoin import PartitionSet
-
-        sizes = PartitionSet(workload.build, ids, config).partition_sizes()
-        assert sizes.sum() == len(workload.build)
-        assert sizes.shape == (config.n_partitions,)
-        reference = np.zeros(config.n_partitions, dtype=np.int64)
-        np.add.at(reference, ids, 1)
-        assert np.array_equal(sizes, reference)
-
 
 # ---------------------------------------------------------------------------
 # Step-series concatenation: scalar-collapse rules

@@ -157,17 +157,11 @@ def _simple_pair_joiner(build: Relation, probe: Relation):
 #: Several partition pairs even for the small drawn relations.
 ORACLE_PARTITION_TUPLES = 16
 
-#: Every join operator, serial and on two pool workers where it has a pool.
+#: Every join operator.
 JOIN_OPERATORS = {
     "SHJ": lambda: SimpleHashJoin(),
     "PHJ": lambda: PartitionedHashJoin(target_partition_tuples=ORACLE_PARTITION_TUPLES),
-    "PHJ-parallel": lambda: PartitionedHashJoin(
-        target_partition_tuples=ORACLE_PARTITION_TUPLES, parallel=True, n_workers=2
-    ),
     "coarse": lambda: CoarseGrainedPHJ(target_partition_tuples=ORACLE_PARTITION_TUPLES),
-    "coarse-parallel": lambda: CoarseGrainedPHJ(
-        target_partition_tuples=ORACLE_PARTITION_TUPLES, parallel=True, n_workers=2
-    ),
     # A 2 KB buffer makes the larger drawn pairs spill, recurse and swap roles.
     "external": lambda: ExternalHashJoin(
         _simple_pair_joiner, machine=small_buffer_machine(2 * 1024), chunk_tuples=64
@@ -178,7 +172,7 @@ JOIN_OPERATORS = {
 class TestJoinOracle:
     """Every operator against the independent oracles on degenerate keys."""
 
-    # Six operators per example: about 5 s on 2 vCPUs.
+    # Four operators per example: about 2 s on 2 vCPUs.
     @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(degenerate_key_pairs())
     def test_every_operator_matches_the_oracle(self, key_pair):
@@ -482,12 +476,13 @@ class TestPerTupleWorkProperties:
         st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=3),
     )
     def test_memoised_stats_equal_a_fresh_copy(self, n, pattern, ranges, conflicts):
-        """Warm memo answers equal a fresh copy's, clamped and empty ranges
-        included, for every key variant of a range and on every repeat.
-        Each range is also split in two, as the executor splits a step, so
-        spans sharing a start or a stop meet in one memo.  The per-tuple
-        work repeats a short pattern, so spans wider than a wavefront are
-        common and grouping changes their divergence."""
+        """Stats read through a warm proxy cache equal a fresh copy's, whose
+        proxy cache starts empty, clamped and empty ranges included, for
+        every argument variant of a range and on every repeat.  Each range
+        is also split in two, as the executor splits a step, so spans sharing
+        a start or a stop read one cached proxy.  The per-tuple work repeats
+        a short pattern, so spans wider than a wavefront are common and
+        grouping changes their divergence."""
         per_tuple = np.resize(np.asarray(pattern, dtype=np.float64), n)
         work = PerTupleWork(
             n_tuples=n,

@@ -20,7 +20,6 @@ from repro.hashjoin import (
     step_by_name,
 )
 from repro.hashjoin.steps import (
-    STATS_MEMO_ENTRIES,
     PerTupleWork,
     StepExecution,
     StepSeries,
@@ -160,20 +159,6 @@ class TestPerTupleWork:
         work = PerTupleWork(n_tuples=10, instructions=1.0, global_atomics=1.0)
         stats = work.total_stats(conflict_ratio=0.7)
         assert stats.atomic_conflict_ratio == 0.7
-
-    def test_stats_memo_stays_bounded(self):
-        n = STATS_MEMO_ENTRIES + 40
-        work = PerTupleWork(n_tuples=n, instructions=np.arange(n, dtype=float),
-                            random_accesses=np.arange(n, dtype=float) % 7.0)
-        # Two sweeps over more distinct ranges than the cap: the second one
-        # asks again for ranges the first sweep's tail evicted.
-        for _ in range(2):
-            for start in range(n):
-                stats = work.stats_for_range(start, n)
-                assert len(work._stats_memo) <= STATS_MEMO_ENTRIES
-                fresh = dataclasses.replace(work).stats_for_range(start, n)
-                assert stats.as_dict() == fresh.as_dict()
-        assert len(work._stats_memo) == STATS_MEMO_ENTRIES
 
 
 class TestStepSeries:
