@@ -14,6 +14,10 @@ three serving policies in one run:
 * deadlines — a request submitted with a too-tight ``timeout_s`` receives a
   structured ``deadline-exceeded`` error instead of an answer.
 
+The server keeps every answer it gives in a per-worker answer cache, so
+running the example a second time against the same server answers all of
+its plans at admission, without a coalescing window or an engine call.
+
 Run standalone (in-process server)::
 
     PYTHONPATH=src python examples/plan_server.py
@@ -123,12 +127,18 @@ async def drive(path: str, requests: list[PlanRequest]) -> None:
             f"micro-batching: {scheduler['requests_completed']} requests in "
             f"{scheduler['batches_formed']} plan_many calls "
             f"(mean batch {scheduler['mean_batch_size']:.1f}, "
-            f"window {scheduler['window_s'] * 1e3:.1f} ms)"
+            f"window {scheduler['window_s'] * 1e3:.1f} ms), "
+            f"answered at admission: {scheduler['answered_at_admission']}"
         )
 
-        # A deadline nobody can meet: structured timeout, not an answer.
+        # A deadline nobody can meet: structured timeout, not an answer.  A
+        # question the server already answered would be answered from its
+        # answer cache at admission, so the demo asks one nobody asked.
+        unasked = PlanRequest(
+            steps=calibrated_series(6999, 5), scheme="PL", request_id="deadline-demo"
+        )
         try:
-            await clients[0].submit(requests[0], timeout_s=1e-6)
+            await clients[0].submit(unasked, timeout_s=1e-6)
             print("deadline demo: unexpectedly answered")
         except PlanServerError as exc:
             print(f"deadline demo: structured error code={exc.code!r}")

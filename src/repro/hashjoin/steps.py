@@ -22,7 +22,7 @@ from __future__ import annotations
 
 # repro: kernel
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 

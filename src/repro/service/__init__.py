@@ -5,7 +5,8 @@ Two entry layers share one evaluation core:
 * **library** — ``PlanService.plan_many`` answers a batch of
   optimisation/what-if requests through the mixed-series engine and the
   process-wide, thread-safe, LRU-evicting ``SharedEstimateCache``;
-  requests with identical task keys share one solve (``dedup_tasks``).
+  requests with identical task keys share one solve (``dedup_tasks``), and
+  a task the service has answered before comes from its answer cache.
 * **server** — ``PlanServer`` speaks a versioned JSON-lines protocol
   (``protocol``) over TCP/unix sockets; a ``MicroBatchScheduler`` coalesces
   requests across clients into single ``plan_many`` calls with weighted

@@ -184,7 +184,8 @@ class PlanResponse:
     ratios: list[float]
     estimate: SeriesEstimate
     #: Engine evaluations charged to this request's solve (0 when another
-    #: request in the same batch already solved the identical task).
+    #: request in the same batch already solved the identical task, or when
+    #: the answer came from the service's answer cache).
     evaluations: int = 0
     #: How many requests of the batch were answered by this solve.
     group_size: int = 1

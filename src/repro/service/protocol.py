@@ -325,9 +325,11 @@ class PlanResult:
     """A ``plan.result`` payload: the answer plus serving metadata."""
 
     response: PlanResponse
-    #: Seconds the request spent queued before its micro-batch was formed.
+    #: Seconds from admission until the answering ``plan_many`` returned
+    #: (a known question answered at admission never queues).
     queued_s: float = 0.0
-    #: How many requests the answering ``plan_many`` micro-batch carried.
+    #: How many requests the answering ``plan_many`` micro-batch carried
+    #: (1 for an answer at admission).
     batch_size: int = 1
 
     def envelope(self, seq: int | None = None, version: int = PROTOCOL_VERSION) -> Envelope:

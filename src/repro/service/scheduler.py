@@ -21,6 +21,14 @@ arriving within a configurable window (across all clients) into one
   ``deadline-exceeded`` error and never reaches ``plan_many`` (so an
   expired request costs the shared :class:`EstimateCache` nothing).
 
+A question the service has answered before skips all of that queueing: once
+it passes admission control, :meth:`MicroBatchScheduler.submit` answers it at
+once through ``plan_many([request])`` on the event loop, out of the
+service's answer cache.  Such an answer waits out no coalescing window and
+makes no executor hop.  It never queues, so no deadline can expire it, it is
+charged no fairness tag, and the per-batch ``scheduler.dispatch`` fault site
+does not fire for it.
+
 The scheduler is transport-agnostic: :class:`~repro.service.server.PlanServer`
 drives it from socket connections, tests and examples drive it directly with
 :meth:`submit`.  Evaluation runs in a thread-pool executor by default so the
@@ -233,6 +241,8 @@ class MicroBatchScheduler:
         self.requests_completed = 0
         self.requests_rejected = 0
         self.requests_timed_out = 0
+        #: Known questions answered at admission, without queueing.
+        self.answered_at_admission = 0
         self.batches_formed = 0
         self.batched_requests = 0
         #: Per-batch client composition (``Counter`` per formed batch), the
@@ -291,6 +301,11 @@ class MicroBatchScheduler:
     ) -> PlanResult:
         """Queue one request and await its micro-batched answer.
 
+        A request the service already knows the answer to is answered right
+        after admission control instead (``batch_size`` 1, ``queued_s`` from
+        admission to answer): it never queues, so ``timeout_s`` cannot
+        expire it and it is charged no fairness tag.
+
         Raises :class:`SchedulerError` with a structured code on admission
         rejection, deadline expiry or shutdown.
         """
@@ -330,6 +345,8 @@ class MicroBatchScheduler:
                 )
 
         now = self._clock()
+        if self.service.has_answer(request):
+            return self._answer_at_admission(request, now)
         timeout = timeout_s if timeout_s is not None else self.default_timeout_s
         weight = self.weights.get(client, self.default_weight)
         start = max(self._vtime, self._finish_tags.get(client, 0.0))
@@ -350,6 +367,25 @@ class MicroBatchScheduler:
         assert self._wakeup is not None
         self._wakeup.set()
         return await pending.future
+
+    def _answer_at_admission(
+        self, request: PlanRequest, admitted_at: float
+    ) -> PlanResult:
+        """Answer a known question on the event loop, out of the answer cache.
+
+        It goes through ``plan_many`` like any batch, but forms no batch:
+        it counts in neither ``batches_formed`` nor ``batch_log``, and the
+        ``scheduler.dispatch`` fault site does not fire for it.
+        """
+        self.requests_submitted += 1
+        response = self.service.plan_many([request])[0]
+        queued_s = self._clock() - admitted_at
+        self.requests_completed += 1
+        self.answered_at_admission += 1
+        # Only batch formation prunes otherwise; a server answering nothing
+        # but known questions would keep every client's bucket forever.
+        self._prune()
+        return PlanResult(response=response, queued_s=queued_s, batch_size=1)
 
     # ------------------------------------------------------------------
     def _has_pending(self) -> bool:
@@ -510,6 +546,7 @@ class MicroBatchScheduler:
             "requests_completed": self.requests_completed,
             "requests_rejected": self.requests_rejected,
             "requests_timed_out": self.requests_timed_out,
+            "answered_at_admission": self.answered_at_admission,
             "batches_formed": self.batches_formed,
             "batched_requests": self.batched_requests,
             "mean_batch_size": (

@@ -13,21 +13,30 @@ series the batch mixes:
    (:func:`~repro.costmodel.optimizer.pl_descent_plan`).  All segments of a
    round — across *different* fingerprints — are evaluated by a single
    mixed-series pass with per-row coefficient vectors: the grid round goes
-   through ``cache.totals_mixed`` (so replayed workloads hit per-row), the
-   descent rounds through the raw :func:`batch_totals_mixed` (descent rows
-   rarely repeat; lockstep batching, not memoisation, is the PL win).  PL
-   descents advance in lockstep until the last one converges.
+   through ``cache.totals_mixed`` (a row that another task key already
+   scanned is a per-row hit), the descent rounds through the raw
+   :func:`batch_totals_mixed` (descent rows rarely repeat; lockstep
+   batching, not memoisation, is the PL win).  PL descents advance in
+   lockstep until the last one converges.
 3. **Solve** — grid-shaped tasks pick their answer straight from their
    mixed slice; PL tasks take their descent plan's result; WHAT-IF/CPU/GPU
    answers are one cached scalar estimate each.  Every answer is
    bit-identical to calling ``optimize_scheme`` per request, whose ratios in
    turn equal the scalar ``SeriesEvaluator(use_batch=False)`` reference.
 
-The cache defaults to the process-wide
-:func:`~repro.costmodel.batch.shared_estimate_cache`, so repeated service
-calls (and planner traffic outside the service) keep warming the same store.
-With that default (or any :class:`SharedEstimateCache`) every entry point is
-thread-safe: the cache serialises its own mutations and the service's
+Before step 2, ``plan_many`` looks every task up in the service's own
+**answer cache**: a bounded LRU (:data:`ANSWER_CACHE_ENTRIES`) from task key
+to the answer's ratios and estimate.  A plan is a pure function of its task
+key, so an entry never needs invalidating; only unknown tasks reach the
+engine, and a known one is answered with ``evaluations=0``, like a dedup
+sibling.  The store lives in memory, per service (so per server worker), and
+nothing persists.
+
+The row cache defaults to the process-wide
+:func:`~repro.costmodel.batch.shared_estimate_cache`, so planner traffic
+outside the service keeps warming the same store.  With that default (or
+any :class:`SharedEstimateCache`) every entry point is thread-safe: the row
+cache serialises its own mutations and the answer cache and the service's
 counters take a private lock, so concurrent ``plan`` calls from a thread
 pool return exactly what the single-threaded path would.
 """
@@ -39,7 +48,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from ..costmodel.abstract import StepCost
+from ..costmodel.abstract import SeriesEstimate, StepCost
 from ..costmodel.batch import EstimateCache, batch_totals_mixed, shared_estimate_cache
 from ..costmodel.optimizer import (
     OL_ENUMERATION_LIMIT,
@@ -53,7 +62,11 @@ from ..costmodel.optimizer import (
 from ..locking import make_lock
 from .api import WHAT_IF, PlanRequest, PlanResponse, TaskKey, WorkloadError
 
-__all__ = ["PlanService", "dedup_tasks"]
+__all__ = ["ANSWER_CACHE_ENTRIES", "PlanService", "dedup_tasks"]
+
+#: Answers one service keeps, least recently used out first.  An answer
+#: holds about 3 KB, so the store stays near 3 MB per service.
+ANSWER_CACHE_ENTRIES = 1024
 
 
 def dedup_tasks(batch: Sequence[PlanRequest]) -> "OrderedDict[TaskKey, PlanRequest]":
@@ -79,11 +92,17 @@ class PlanService:
 
     Every batch stacks the candidate rows of *all* its tasks — across
     different step series — into one mixed-series engine call per round.
+    Answers are kept in a bounded LRU keyed by task key, so a question the
+    service answered recently does not reach the engine again.
     """
 
     def __init__(self, cache: EstimateCache | None = None) -> None:
         self.cache = cache if cache is not None else shared_estimate_cache()
         self._lock = make_lock("plan-service")
+        self._answers: OrderedDict[TaskKey, tuple[list[float], SeriesEstimate]] = (
+            OrderedDict()
+        )
+        self.answer_hits = 0
         self.requests_served = 0
         self.tasks_solved = 0
         self.requests_deduplicated = 0
@@ -93,6 +112,19 @@ class PlanService:
     def plan(self, request: PlanRequest) -> PlanResponse:
         """Answer one request (still batched through the shared cache)."""
         return self.plan_many([request])[0]
+
+    def has_answer(self, request: PlanRequest) -> bool:
+        """Whether the answer cache holds ``request``'s answer.
+
+        A hit also becomes the most recently used entry, so a ``plan_many``
+        call right after the probe finds it still there.
+        """
+        key = request.task_key
+        with self._lock:
+            if key not in self._answers:
+                return False
+            self._answers.move_to_end(key)
+            return True
 
     def plan_many(self, requests: Iterable[PlanRequest]) -> list[PlanResponse]:
         """Answer a batch of requests; one response per request, in order."""
@@ -110,29 +142,53 @@ class PlanService:
         tasks = dedup_tasks(batch)
         group_sizes = Counter(request.task_key for request in batch)
 
-        # 2./3. Evaluate and solve every unique task.
-        answers, engine_calls = self._solve_mixed(tasks)
+        # Known answers come from the answer cache; only the rest are solved.
+        known: dict[TaskKey, tuple[list[float], SeriesEstimate]] = {}
+        with self._lock:
+            for key in tasks:
+                answer = self._answers.get(key)
+                if answer is not None:
+                    self._answers.move_to_end(key)
+                    known[key] = answer
+        unknown = OrderedDict(
+            (key, task) for key, task in tasks.items() if key not in known
+        )
+
+        # 2./3. Evaluate and solve every unique unknown task.
+        solved, engine_calls = self._solve_mixed(unknown)
 
         responses: list[PlanResponse] = []
-        charged: set[tuple] = set()
+        charged: set[TaskKey] = set()
         for request in batch:
-            result = answers[request.task_key]
-            first = request.task_key not in charged
-            charged.add(request.task_key)
+            key = request.task_key
+            if key in known:
+                ratios, estimate = known[key]
+                evaluations = 0
+            else:
+                result = solved[key]
+                ratios, estimate = result.ratios, result.estimate
+                evaluations = 0 if key in charged else result.evaluations
+                charged.add(key)
             responses.append(
                 PlanResponse(
                     request_id=request.request_id,
                     scheme=request.scheme,
-                    ratios=list(result.ratios),
-                    estimate=result.estimate.copy(),
-                    evaluations=result.evaluations if first else 0,
-                    group_size=group_sizes[request.task_key],
+                    ratios=list(ratios),
+                    estimate=estimate.copy(),
+                    evaluations=evaluations,
+                    group_size=group_sizes[key],
                 )
             )
 
         with self._lock:
+            for key, result in solved.items():
+                self._answers[key] = (result.ratios, result.estimate)
+                self._answers.move_to_end(key)
+            while len(self._answers) > ANSWER_CACHE_ENTRIES:
+                self._answers.popitem(last=False)
+            self.answer_hits += len(known)
             self.requests_served += len(batch)
-            self.tasks_solved += len(tasks)
+            self.tasks_solved += len(unknown)
             self.requests_deduplicated += len(batch) - len(tasks)
             self.mixed_engine_calls += engine_calls
         return responses
@@ -266,7 +322,7 @@ class PlanService:
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, Any]:
-        """Service counters plus a consistent cache snapshot."""
+        """Service counters plus consistent answer- and row-cache snapshots."""
         cache_stats = (
             self.cache.stats()
             if hasattr(self.cache, "stats")
@@ -283,5 +339,10 @@ class PlanService:
                 "tasks_solved": self.tasks_solved,
                 "requests_deduplicated": self.requests_deduplicated,
                 "mixed_engine_calls": self.mixed_engine_calls,
+                "answers": {
+                    "entries": len(self._answers),
+                    "max_entries": ANSWER_CACHE_ENTRIES,
+                    "hits": self.answer_hits,
+                },
                 "cache": cache_stats,
             }

@@ -22,8 +22,6 @@ import signal
 import socket
 import subprocess
 import sys
-import tempfile
-import threading
 import time
 from pathlib import Path
 

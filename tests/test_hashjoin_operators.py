@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data import JoinWorkload, Relation
+from repro.data import Relation
 from repro.hashjoin import (
     BUILD_STEPS,
     CoarseGrainedPHJ,

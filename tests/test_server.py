@@ -626,6 +626,94 @@ class TestSchedulerDeadlines:
             assert outcome.response.total_s == reference.total_s
 
 
+class CountingService(PlanService):
+    """A service that records the size of every ``plan_many`` call."""
+
+    def __init__(self) -> None:
+        super().__init__(cache=SharedEstimateCache())
+        self.calls: list[int] = []
+
+    def plan_many(self, requests):
+        batch = list(requests)
+        self.calls.append(len(batch))
+        return super().plan_many(batch)
+
+
+class TestAdmissionAnswers:
+    """A question the service already knows is answered at admission."""
+
+    def test_known_question_skips_the_window(self):
+        request = mixed_requests(1, 1, seed=26)[0]
+        service = CountingService()
+
+        async def go(scheduler, service):
+            first = await scheduler.submit(request, client_id="a")
+            again = await scheduler.submit(request, client_id="a")
+            return first, again, scheduler.stats()
+
+        first, again, stats = run_with_scheduler(go, window_s=0.5, service=service)
+        assert first.queued_s >= 0.5
+        assert again.queued_s < 0.1
+        assert again.batch_size == 1
+        want = PlanService(cache=SharedEstimateCache()).plan_many([request])[0]
+        assert again.response.request_id == want.request_id
+        assert again.response.ratios == want.ratios
+        assert again.response.estimate == want.estimate
+        assert again.response.evaluations == 0
+        # The answer went through plan_many, as a one-request call.
+        assert service.calls == [1, 1]
+        assert stats["answered_at_admission"] == 1
+        assert stats["requests_submitted"] == stats["requests_completed"] == 2
+        assert stats["batches_formed"] == stats["batched_requests"] == 1
+        assert stats["service"]["answers"]["hits"] == 1
+
+    def test_over_rate_client_is_rejected_even_for_a_known_question(self):
+        request = mixed_requests(1, 1, seed=27)[0]
+
+        async def go(scheduler, service):
+            await scheduler.submit(request, client_id="greedy")
+            assert service.has_answer(request)
+            with pytest.raises(SchedulerError) as excinfo:
+                await scheduler.submit(request, client_id="greedy")
+            assert excinfo.value.code == ERROR_ADMISSION
+            # Another client with tokens left gets the known answer.
+            result = await scheduler.submit(request, client_id="patient")
+            return result, scheduler.stats()
+
+        result, stats = run_with_scheduler(
+            go, window_s=0.01, admission_rate=0.001, admission_burst=1.0
+        )
+        assert result.batch_size == 1
+        assert stats["requests_rejected"] == 1
+        assert stats["answered_at_admission"] == 1
+
+    def test_stats_count_admission_answers_over_the_wire(self):
+        requests = mixed_requests(6, 2, seed=28)
+
+        async def go(server, path):
+            client = await connect_plan_client(path, client_id="again")
+            try:
+                first = await client.plan_many(requests)
+                again = await client.plan_many(requests)
+                stats = await client.stats()
+            finally:
+                await client.close()
+            return first, again, stats
+
+        first, again, stats = run_with_server(
+            go, service=fresh_service(), window_s=0.02
+        )
+        for a, b in zip(first, again):
+            assert b.batch_size == 1
+            assert b.response.ratios == a.response.ratios
+            assert b.response.estimate == a.response.estimate
+        scheduler = stats["scheduler"]
+        assert scheduler["answered_at_admission"] == len(requests)
+        assert scheduler["requests_completed"] == 2 * len(requests)
+        assert scheduler["batched_requests"] == len(requests)
+        assert scheduler["service"]["answers"]["hits"] == len(requests)
+
+
 # ---------------------------------------------------------------------------
 # Server + client over real sockets.
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Multi-query plan service: API validation, batched-vs-sequential parity,
-shared cache concurrency, and the process-wide cache singleton."""
+the answer cache, shared cache concurrency, and the process-wide cache
+singleton."""
 
 from __future__ import annotations
 
 import json
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -27,6 +29,7 @@ from repro.service import (
     WorkloadError,
     load_workload,
 )
+from repro.service.service import ANSWER_CACHE_ENTRIES
 
 SETTINGS = settings(
     max_examples=25,
@@ -162,18 +165,20 @@ class TestPlanServiceParity:
         st.sampled_from([0.02, 0.03, 0.1, 0.25, 1.0]),
     )
     def test_single_requests_match_optimizers(self, n_steps, seed, delta):
+        """Each question is asked twice: the second answer comes from the
+        answer cache and still equals the optimiser's, at no evaluations."""
         steps = random_steps(np.random.default_rng(seed), n_steps)
         service = fresh_service()
         for scheme in ("PL", "OL", "DD", "CPU", "GPU"):
-            response = service.plan(
-                PlanRequest(steps=steps, scheme=scheme, delta=delta)
-            )
+            request = PlanRequest(steps=steps, scheme=scheme, delta=delta)
             reference = optimize_scheme(scheme, list(steps), delta)
-            assert response.ratios == reference.ratios
-            assert response.total_s == reference.total_s
-            assert response.estimate.cpu_step_s == reference.estimate.cpu_step_s
-            assert response.estimate.cpu_delay_s == reference.estimate.cpu_delay_s
-            assert response.evaluations == reference.evaluations
+            first, again = service.plan(request), service.plan(request)
+            for response in (first, again):
+                assert response.ratios == reference.ratios
+                assert response.total_s == reference.total_s
+                assert response.estimate == reference.estimate
+            assert first.evaluations == reference.evaluations
+            assert again.evaluations == 0
 
     @SETTINGS
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -276,6 +281,110 @@ class TestPlanServiceParity:
         payload = json.loads(json.dumps(response.to_dict()))
         assert payload["scheme"] == "PL"
         assert payload["total_s"] == pytest.approx(response.total_s)
+
+
+class TestAnswerCache:
+    """``plan_many`` answers a known task key from its bounded answer LRU."""
+
+    def test_repeat_is_answered_without_the_engine(self):
+        rng = np.random.default_rng(21)
+        requests = [
+            PlanRequest(steps=random_steps(rng, 5), scheme=scheme, request_id=scheme)
+            for scheme in ("PL", "OL", "DD", "CPU")
+        ]
+        service = fresh_service()
+        service.plan_many(requests)
+        solved = service.stats()
+        repeat = service.plan_many(requests)
+        stats = service.stats()
+        assert stats["mixed_engine_calls"] == solved["mixed_engine_calls"]
+        assert stats["tasks_solved"] == solved["tasks_solved"] == len(requests)
+        assert stats["answers"] == {
+            "entries": len(requests),
+            "max_entries": ANSWER_CACHE_ENTRIES,
+            "hits": len(requests),
+        }
+        for got, want in zip(repeat, fresh_service().plan_many(requests)):
+            assert got.request_id == want.request_id
+            assert got.ratios == want.ratios
+            assert got.estimate == want.estimate
+            assert got.evaluations == 0
+
+    def test_hits_do_not_alias(self):
+        steps = random_steps(np.random.default_rng(22), 4)
+        request = PlanRequest(steps=steps, scheme="PL")
+        want = fresh_service().plan(request)
+        service = fresh_service()
+        first = service.plan(request)
+        hit = service.plan(request)
+        assert hit.evaluations == 0
+        for response in (first, hit):
+            response.ratios[0] = -1.0
+            response.estimate.cpu_step_s[0] = 1234.5
+            response.estimate.ratios.append(0.5)
+        again = service.plan(request)
+        assert again.evaluations == 0
+        assert again.ratios == want.ratios
+        assert again.estimate == want.estimate
+
+    def test_lru_bound_holds(self):
+        steps = random_steps(np.random.default_rng(23), 3)
+        requests = [
+            PlanRequest(
+                steps=steps,
+                scheme="WHAT-IF",
+                ratios=(k / (ANSWER_CACHE_ENTRIES + 3), 0.5, 1.0),
+                request_id=f"w{k}",
+            )
+            for k in range(ANSWER_CACHE_ENTRIES + 3)
+        ]
+        service = fresh_service()
+        service.plan_many(requests)
+        assert service.stats()["answers"]["entries"] == ANSWER_CACHE_ENTRIES
+        # The first three were evicted, least recently used first ...
+        for request in requests[:3]:
+            assert service.plan(request).evaluations == 1
+        # ... and the latest are still known.
+        hits = service.stats()["answers"]["hits"]
+        for request in requests[-3:]:
+            assert service.plan(request).evaluations == 0
+        assert service.stats()["answers"]["hits"] == hits + 3
+        assert service.stats()["answers"]["entries"] == ANSWER_CACHE_ENTRIES
+
+    def test_concurrent_askers_get_identical_plans(self):
+        rng = np.random.default_rng(24)
+        all_series = [random_steps(rng, int(rng.integers(2, 6))) for _ in range(8)]
+        schemes = ("PL", "OL", "DD", "CPU")
+        questions = [
+            PlanRequest(
+                steps=all_series[i % 8], scheme=schemes[i // 8], request_id=f"q{i}"
+            )
+            for i in range(32)
+        ]
+        references = fresh_service().plan_many(questions)
+        service = fresh_service()
+
+        def worker(k: int) -> list[PlanResponse]:
+            return [service.plan(questions[(i + k) % 32]) for i in range(32)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads' lock sections
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                answers = list(pool.map(worker, range(8), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+
+        for k, responses in enumerate(answers):
+            for i, response in enumerate(responses):
+                reference = references[(i + k) % 32]
+                assert response.request_id == reference.request_id
+                assert response.ratios == reference.ratios
+                assert response.estimate == reference.estimate
+        stats = service.stats()
+        assert stats["requests_served"] == 8 * 32
+        assert stats["answers"]["hits"] + stats["tasks_solved"] == 8 * 32
+        assert stats["answers"]["entries"] == 32
 
 
 class TestSharedCacheConcurrency:
